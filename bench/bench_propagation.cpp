@@ -1,20 +1,35 @@
 // Tiled vs legacy SpMM over sampled-subgraph shapes (google-benchmark).
 //
-// Three name families over |V| ∈ {6000, 9000} × f ∈ {64..512} × every
+// Four name families over |V| ∈ {6000, 9000} × f ∈ {64..512} × every
 // aggregator:
-//   BM_SpmmTiled/...          tiled kernel, measured-Q autotuner on
+//   BM_SpmmTiled/...          tiled kernel, default options: the analytic
+//                             Q with the LLC term (what training runs)
 //   BM_SpmmTiledAnalytic/...  tiled kernel pinned to Theorem 2's Q*
+//                             (detected L2, no LLC term)
+//   BM_SpmmTiledBest/...      tiled kernel at the fastest of {Q*, Q*/2,
+//                             2Q*, C}, timed here
 //   BM_SpmmLegacy/...         pre-tiling scalar slice kernel (baseline)
 // The perf-smoke CI job gates two pair ratios from the GFLOPS counters:
-// tiled vs legacy (median >= 1.3x) and tiled vs analytic-Q (every shape
-// >= 0.95x — the autotuner must never lose more than 5% to the model).
-// Counters: GFLOPS and model_gbps from the obs::spmm_work model, the
-// measured PMU columns, and the q / q_analytic partition counts.
+// tiled vs legacy (median >= 1.3x) and tiled vs best-timed (every shape
+// >= 0.95x — the cost model must never lose more than 5% to a measured
+// sweep). Counters: GFLOPS and model_gbps from the obs::spmm_work model,
+// the measured PMU columns, and the q / q_analytic partition counts.
+//
+// GFLOPS and model_gbps come from each configuration's fastest call in a
+// per-shape round-robin over every configuration (shape_times): on a
+// shared multi-core host, stalls and load shifts lasting seconds swamp a
+// mean, while round-robin minima see the same host state. Two families
+// that run the same Q share one measurement.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <map>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "gbench_common.hpp"
 #include "graph/generators.hpp"
@@ -22,76 +37,160 @@
 #include "obs/roofline.hpp"
 #include "propagation/feature_partitioned.hpp"
 #include "propagation/spmm.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace gsgcn;
 
-enum class Mode { kTiledAuto, kTiledAnalytic, kLegacy };
+enum class Mode { kTiled, kTiledAnalytic, kTiledBest, kLegacy };
 
-tensor::Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  return tensor::Matrix::gaussian(r, c, 1.0f, rng);
+constexpr int kRounds = 40;
+
+struct Shape {
+  graph::CsrGraph g;
+  tensor::Matrix in;
+  tensor::Matrix out;
+  propagation::FeaturePartitionOptions opts;  // default: analytic with LLC
+
+  Shape(graph::Vid n, std::size_t f, propagation::AggregatorKind kind) {
+    util::Xoshiro256 rng(7 + n);
+    g = graph::erdos_renyi(n, static_cast<graph::Eid>(n) * 15, rng);
+    util::Xoshiro256 feat_rng(21);
+    in = tensor::Matrix::gaussian(n, f, 1.0f, feat_rng);
+    out = tensor::Matrix(n, f);
+    opts.aggregator = kind;
+  }
+
+  int run(Mode mode, int q) {
+    propagation::FeaturePartitionOptions o = opts;
+    o.force_q = q;
+    return mode == Mode::kLegacy
+               ? propagation::legacy::propagate_feature_partitioned(g, in,
+                                                                    out, o)
+               : propagation::propagate_feature_partitioned(g, in, out, o);
+  }
+};
+
+struct ShapeTimes {
+  int q_tiled = 0;     // default options
+  int q_analytic = 0;  // Theorem 2's Q*
+  int q_best = 0;      // fastest of {Q*, Q*/2, 2Q*, C}
+  double tiled_s = 0.0;
+  double analytic_s = 0.0;
+  double best_s = 0.0;
+  double legacy_s = 0.0;
+};
+
+/// Fastest call per configuration of one shape, timed round-robin over
+/// the tiled kernel at every candidate Q and the legacy kernel at the
+/// default Q. Memoized: the four families of a shape share it.
+const ShapeTimes& shape_times(graph::Vid n, std::size_t f,
+                              propagation::AggregatorKind kind) {
+  static std::map<std::tuple<graph::Vid, std::size_t, int>, ShapeTimes> memo;
+  const auto key = std::make_tuple(n, f, static_cast<int>(kind));
+  const auto it = memo.find(key);
+  if (it != memo.end()) return it->second;
+
+  Shape s(n, f, kind);
+  ShapeTimes t;
+  // A caller-supplied S_cache pins Theorem 2's Q* (no LLC term).
+  propagation::FeaturePartitionOptions analytic = s.opts;
+  analytic.cache_bytes = util::private_cache_bytes();
+  t.q_analytic =
+      propagation::propagate_feature_partitioned(s.g, s.in, s.out, analytic);
+  t.q_tiled = s.run(Mode::kTiled, 0);
+  const int c = util::resolve_threads(s.opts.threads);
+  const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
+  std::vector<int> qs;
+  const auto add = [&](int q) {
+    q = std::clamp(q, 1, fmax);
+    if (std::find(qs.begin(), qs.end(), q) == qs.end()) qs.push_back(q);
+  };
+  for (const int q : {t.q_analytic, t.q_analytic / 2, t.q_analytic * 2, c}) {
+    add(q);
+  }
+  // qs[0..n_cands) are the sweep candidates; the default Q joins after
+  // them when it is none of them. The last slot is the legacy kernel.
+  const std::size_t n_cands = qs.size();
+  add(t.q_tiled);
+  std::vector<double> best(qs.size() + 1,
+                           std::numeric_limits<double>::infinity());
+  for (int round = 0; round <= kRounds; ++round) {  // round 0 warms up
+    for (std::size_t i = 0; i <= qs.size(); ++i) {
+      const bool legacy = i == qs.size();
+      const util::Timer timer;
+      s.run(legacy ? Mode::kLegacy : Mode::kTiled,
+            legacy ? t.q_tiled : qs[i]);
+      if (round > 0) best[i] = std::min(best[i], timer.seconds());
+    }
+  }
+  const auto time_of = [&](int q) {
+    return best[static_cast<std::size_t>(
+        std::find(qs.begin(), qs.end(), q) - qs.begin())];
+  };
+  t.tiled_s = time_of(t.q_tiled);
+  t.analytic_s = time_of(t.q_analytic);
+  t.legacy_s = best.back();
+  t.q_best = qs.front();
+  t.best_s = best.front();
+  for (std::size_t i = 1; i < n_cands; ++i) {
+    if (best[i] < t.best_s) {  // strict <: ties keep the earlier candidate
+      t.best_s = best[i];
+      t.q_best = qs[i];
+    }
+  }
+  return memo.emplace(key, t).first->second;
 }
 
 void run_spmm(benchmark::State& state, graph::Vid n, std::size_t f,
               propagation::AggregatorKind kind, Mode mode) {
-  util::Xoshiro256 rng(7 + n);
-  const graph::CsrGraph g =
-      graph::erdos_renyi(n, static_cast<graph::Eid>(n) * 15, rng);
-  const tensor::Matrix in = random_matrix(n, f, 21);
-  tensor::Matrix out(n, f);
-  propagation::FeaturePartitionOptions opts;
-  opts.aggregator = kind;
-  opts.autotune = mode == Mode::kTiledAuto;
-  // Warmup: records the analytic Q column and, for the autotuned family,
-  // runs the candidate measurements here so that cost lands outside the
-  // timed loop (it is a once-per-shape cost in production too).
-  const int q_analytic =
-      propagation::legacy::propagate_feature_partitioned(g, in, out, opts);
-  int q_used = q_analytic;
-  if (mode != Mode::kLegacy) {
-    q_used = propagation::propagate_feature_partitioned(g, in, out, opts);
+  const ShapeTimes& t = shape_times(n, f, kind);
+  int q = t.q_tiled;
+  double secs = t.tiled_s;
+  switch (mode) {
+    case Mode::kTiled: break;
+    case Mode::kTiledAnalytic: q = t.q_analytic; secs = t.analytic_s; break;
+    case Mode::kTiledBest: q = t.q_best; secs = t.best_s; break;
+    case Mode::kLegacy: secs = t.legacy_s; break;
   }
+  Shape s(n, f, kind);
   const obs::PerfReading pr = obs::perf_read_thread();
   for (auto _ : state) {
-    if (mode == Mode::kLegacy) {
-      propagation::legacy::propagate_feature_partitioned(g, in, out, opts);
-    } else {
-      propagation::propagate_feature_partitioned(g, in, out, opts);
-    }
-    benchmark::DoNotOptimize(out.data());
+    s.run(mode, q);
+    benchmark::DoNotOptimize(s.out.data());
+    benchmark::ClobberMemory();
   }
   const obs::Work work =
       obs::spmm_work(static_cast<std::int64_t>(n),
-                     static_cast<std::int64_t>(g.num_edges()),
+                     static_cast<std::int64_t>(s.g.num_edges()),
                      static_cast<std::int64_t>(f));
-  state.counters["GFLOPS"] = benchmark::Counter(
-      work.flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
-  state.counters["model_gbps"] = benchmark::Counter(
-      work.bytes * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["GFLOPS"] = work.flops * 1e-9 / secs;
+  state.counters["model_gbps"] = work.bytes * 1e-9 / secs;
   state.counters["ai_model"] =
       work.bytes > 0.0 ? work.flops / work.bytes : 0.0;
-  state.counters["q"] = static_cast<double>(q_used);
-  state.counters["q_analytic"] = static_cast<double>(q_analytic);
+  state.counters["q"] = static_cast<double>(q);
+  state.counters["q_analytic"] = static_cast<double>(t.q_analytic);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          g.num_edges() * static_cast<std::int64_t>(f));
+                          s.g.num_edges() * static_cast<std::int64_t>(f));
   bench::set_measured_counters(state, pr, work);
 }
 
 const char* family_name(Mode mode) {
   switch (mode) {
-    case Mode::kTiledAuto: return "BM_SpmmTiled";
+    case Mode::kTiled: return "BM_SpmmTiled";
     case Mode::kTiledAnalytic: return "BM_SpmmTiledAnalytic";
+    case Mode::kTiledBest: return "BM_SpmmTiledBest";
     case Mode::kLegacy: return "BM_SpmmLegacy";
   }
   return "?";
 }
 
 void register_benchmarks() {
-  for (const Mode mode :
-       {Mode::kTiledAuto, Mode::kTiledAnalytic, Mode::kLegacy}) {
+  for (const Mode mode : {Mode::kTiled, Mode::kTiledAnalytic,
+                          Mode::kTiledBest, Mode::kLegacy}) {
     for (const graph::Vid n : {6000u, 9000u}) {
       for (const std::size_t f : {64u, 128u, 256u, 512u}) {
         for (const auto kind : {propagation::AggregatorKind::kMean,

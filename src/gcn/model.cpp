@@ -59,10 +59,13 @@ void GcnModel::backward(const graph::CsrGraph& g,
     tensor::bias_grad(d_logits, {d_b_cls_.data(), d_b_cls_.cols()});
     tensor::gemm_nt(d_logits, w_cls_, d_hidden_, 1.0f, 0.0f, threads);
   }
+  // Every layer but the first passes d(H_in) down; the first layer's
+  // input is the feature matrix, whose gradient nothing reads.
   const tensor::Matrix* d = &d_hidden_;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = &it->backward(g, *d, threads, clock);
+  for (std::size_t l = layers_.size() - 1; l > 0; --l) {
+    d = &layers_[l].backward(g, *d, threads, clock);
   }
+  layers_.front().backward_weights(*d, threads, clock);
   last_hidden_ = nullptr;
 }
 

@@ -37,7 +37,9 @@ class GcnModel {
                                 PhaseClock* clock = nullptr,
                                 bool training = false);
 
-  /// Backward from dL/dlogits; fills all parameter gradients.
+  /// Backward from dL/dlogits; fills all parameter gradients. The first
+  /// layer computes only its weight gradients (GraphConvLayer::
+  /// backward_weights): the gradient of `x` is never formed.
   void backward(const graph::CsrGraph& g, const tensor::Matrix& d_logits,
                 int threads = 0, PhaseClock* clock = nullptr);
 

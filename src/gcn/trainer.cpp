@@ -103,26 +103,22 @@ Trainer::Trainer(const data::Dataset& dataset, const TrainerConfig& config,
   tensor::gather_rows(ds_.labels, train_orig_, train_labels_);
 
   if (!external) {
-    // Gather the training-split features once, then hand them to the
-    // feature store. fp32 with no cache stays a zero-copy view (the
-    // legacy dense path, byte for byte); any codec or cache budget
-    // builds a compressed store keyed by train-local ids, with cache
-    // residency ranked by training-graph degree, and the dense copy is
-    // freed — the decompressed matrix never outlives construction.
-    train_features_ = tensor::Matrix(train_orig_.size(), in_dim_);
-    tensor::gather_rows(ds_.features, train_orig_, train_features_);
+    // The internal store is keyed by dataset ids like an external one, so
+    // fp32 with no cache is a zero-copy view of ds_.features. Any codec or
+    // cache budget builds a compressed store over ds_.features, with cache
+    // residency ranked by training-graph degree.
     if (cfg_.feature_dtype == data::FeatureDtype::kF32 &&
         cfg_.feature_cache_mb == 0) {
       feat_store_ = std::make_unique<data::FeatureStore>(
-          data::FeatureStore::view(train_features_));
+          data::FeatureStore::view(ds_.features));
     } else {
       data::FeatureStoreOptions fo;
       fo.dtype = cfg_.feature_dtype;
       fo.cache_mb = cfg_.feature_cache_mb;
-      const std::vector<graph::Vid> hot = graph::degree_order(train_graph_);
+      std::vector<graph::Vid> hot = graph::degree_order(train_graph_);
+      for (graph::Vid& v : hot) v = train_orig_[v];
       feat_store_ = std::make_unique<data::FeatureStore>(
-          data::FeatureStore::build(train_features_, fo, hot));
-      train_features_ = tensor::Matrix();
+          data::FeatureStore::build(ds_.features, fo, hot));
     }
   }
 
@@ -341,8 +337,7 @@ TrainResult Trainer::train() {
 
         {
           GSGCN_TRACE_SPAN_ID("train/gather", n_sub);
-          const data::FeatureStore& fstore =
-              ext_features_ != nullptr ? *ext_features_ : *feat_store_;
+          const data::FeatureStore& fstore = *feature_store();
           // The roofline work model learns the codec: a compressed row
           // reads value_bytes() per value, and every gather writes fp32.
           const obs::Work fwork [[maybe_unused]] = obs::gather_work(
@@ -356,20 +351,16 @@ TrainResult Trainer::train() {
                                  fwork.bytes + lwork.bytes);
           ensure_shape(batch_features_, n_sub, in_dim_);
           ensure_shape(batch_labels_, n_sub, ds_.num_classes());
-          if (ext_features_ != nullptr) {
-            // External stores are keyed by dataset ids; translate the
-            // train-local subgraph ids through train_orig_.
-            batch_ids_.resize(n_sub);
-            for (graph::Vid i = 0; i < n_sub; ++i) {
-              batch_ids_[i] = train_orig_[sub.orig_ids[i]];
-            }
-            fstore.gather(batch_ids_, batch_features_, cfg_.threads);
-          } else {
-            fstore.gather(sub.orig_ids, batch_features_, cfg_.threads);
+          // Stores are keyed by dataset ids; translate the train-local
+          // subgraph ids through train_orig_.
+          batch_ids_.resize(n_sub);
+          for (graph::Vid i = 0; i < n_sub; ++i) {
+            batch_ids_[i] = train_orig_[sub.orig_ids[i]];
           }
+          fstore.gather(batch_ids_, batch_features_, cfg_.threads);
           tensor::gather_rows(train_labels_, sub.orig_ids, batch_labels_,
                               cfg_.threads);
-          if (ext_features_ != nullptr && ext_features_->mmapped()) {
+          if (fstore.mmapped()) {
             // Out-of-core lookahead: hint the pages behind the subgraph
             // the pool will hand us next, so the page cache fills while
             // this iteration computes.
@@ -379,7 +370,7 @@ TrainResult Trainer::train() {
               for (std::size_t i = 0; i < next.size(); ++i) {
                 prefetch_ids_[i] = train_orig_[next[i]];
               }
-              ext_features_->prefetch(prefetch_ids_);
+              fstore.prefetch(prefetch_ids_);
             }
           }
         }

@@ -193,8 +193,9 @@ class Trainer {
   graph::Vid effective_frontier() const { return frontier_; }
   graph::Vid train_graph_size() const { return train_graph_.num_vertices(); }
 
-  /// The store feeding training gathers: the external store when one was
-  /// passed, else the internal per-split store. Null only before train().
+  /// The store feeding training gathers, keyed by dataset ids in every
+  /// mode: the external store when one was passed, else the internal one
+  /// over ds.features (a zero-copy view for fp32 with no cache).
   const data::FeatureStore* feature_store() const {
     return ext_features_ != nullptr ? ext_features_ : feat_store_.get();
   }
@@ -214,16 +215,15 @@ class Trainer {
 
   graph::CsrGraph train_graph_;          // induced on the training split
   std::vector<graph::Vid> train_orig_;   // train-graph local → dataset id
-  tensor::Matrix train_features_;        // kept only for the fp32 view path
   tensor::Matrix train_labels_;
 
-  // Training-gather feature source: exactly one of these is active.
-  // ext_features_ is indexed by dataset ids (batch ids are translated
-  // through train_orig_); feat_store_ is indexed by train-local ids.
+  // Training-gather feature source: exactly one of these is active. Both
+  // are indexed by dataset ids; batch ids are translated through
+  // train_orig_.
   const data::FeatureStore* ext_features_ = nullptr;
   std::unique_ptr<data::FeatureStore> feat_store_;
   std::size_t in_dim_ = 0;
-  std::vector<std::uint32_t> batch_ids_;     // external-mode id scratch
+  std::vector<std::uint32_t> batch_ids_;     // dataset-id gather scratch
   std::vector<std::uint32_t> prefetch_ids_;  // mmap lookahead scratch
 
   std::unique_ptr<GcnModel> model_;

@@ -6,6 +6,7 @@
 
 #include "util/env.hpp"
 #include "util/json_writer.hpp"
+#include "util/parallel.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -82,45 +83,15 @@ std::string read_cpu_model() {
   return std::string();
 }
 
-/// Parse a sysfs cache size string ("48K", "2048K", "36M") to bytes.
-std::int64_t parse_cache_size(const std::string& s) {
-  if (s.empty()) return 0;
-  char unit = '\0';
-  long long v = 0;
-  std::sscanf(s.c_str(), "%lld%c", &v, &unit);
-  if (unit == 'K' || unit == 'k') return v * 1024;
-  if (unit == 'M' || unit == 'm') return v * 1024 * 1024;
-  if (unit == 'G' || unit == 'g') return v * 1024 * 1024 * 1024;
-  return v;
-}
-
-std::string read_sysfs(const std::string& path) {
-  std::ifstream in(path);
-  std::string s;
-  std::getline(in, s);
-  return s;
-}
-
-void probe_caches(MachineInfo& m) {
-  const std::string base = "/sys/devices/system/cpu/cpu0/cache/index";
-  for (int i = 0; i < 8; ++i) {
-    const std::string dir = base + std::to_string(i) + "/";
-    const std::string level = read_sysfs(dir + "level");
-    if (level.empty()) break;
-    const std::string type = read_sysfs(dir + "type");
-    const std::int64_t size = parse_cache_size(read_sysfs(dir + "size"));
-    if (level == "1" && type == "Data") m.l1d_bytes = size;
-    if (level == "2" && type != "Instruction") m.l2_bytes = size;
-    if (level == "3" && type != "Instruction") m.l3_bytes = size;
-  }
-}
-
 MachineInfo probe_machine() {
   MachineInfo m;
   m.hostname = read_hostname();
   m.cpu_model = read_cpu_model();
   m.num_cpus = static_cast<int>(std::thread::hardware_concurrency());
-  probe_caches(m);
+  const util::CacheSizes& caches = util::cache_sizes();
+  m.l1d_bytes = static_cast<std::int64_t>(caches.l1d);
+  m.l2_bytes = static_cast<std::int64_t>(caches.l2);
+  m.l3_bytes = static_cast<std::int64_t>(caches.l3);
   m.peak_flops_per_cycle =
       util::env_double("GSGCN_PEAK_FLOPS_PER_CYCLE", 32.0);
   return m;

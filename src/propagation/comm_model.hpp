@@ -9,6 +9,15 @@
 // once per vertex part). Theorem 2: with P = 1 and
 // Q* = max{C, elem_bytes·n·f / S_cache}, g_comm ≤ 2 · min g_comm whenever
 // C ≤ (elem_bytes/idx_bytes)·f/d and idx_bytes·n·d ≤ S_cache.
+//
+// The model counts DRAM↔cache traffic only. When the whole feature
+// matrix fits the last-level cache there is no DRAM traffic left to
+// save, and every slice beyond C just re-streams the index lists, so
+// choose_feature_partitions takes an optional LLC term: Q = C when
+// elem_bytes·n·f ≤ S_LLC, Theorem 2's Q* otherwise. Slicing then buys
+// only parallelism, so it also stops at slices of min_slice features:
+// a slice narrower than the kernel's register tile costs more per
+// feature than another processor returns.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +31,8 @@ struct CommModelParams {
   std::size_t elem_bytes = 8;  // paper: DOUBLE features
   std::size_t idx_bytes = 2;   // paper: INT16 subgraph vertex indices
   std::size_t cache_bytes = 256 * 1024;  // private L2 per core
+  std::size_t llc_bytes = 0;   // last-level cache; 0 = no LLC term
+  std::int64_t min_slice = 1;  // narrowest slice under the LLC term
   int processors = 1;          // C
 };
 
@@ -34,9 +45,11 @@ double g_comp(const CommModelParams& m);
 double g_comm(const CommModelParams& m, int p, int q, double gamma_p);
 
 /// The paper's feature-only choice Q* = max{C, ⌈elem_bytes·n·f/S_cache⌉},
-/// clamped to at most f (never more slices than features). Deliberately
-/// NOT rounded up to a multiple of C — that can break the 2-approximation.
-/// Throws if cache_bytes is 0 or processors < 1.
+/// or Q = min{C, ⌈f/min_slice⌉} when llc_bytes is set and
+/// elem_bytes·n·f ≤ llc_bytes; either way clamped to at most f (never
+/// more slices than features).
+/// Deliberately NOT rounded up to a multiple of C — that can break the
+/// 2-approximation. Throws if cache_bytes is 0 or processors < 1.
 int choose_feature_partitions(const CommModelParams& m);
 
 /// Lower bound elem_bytes·n·f on g_comm over all (P, Q, γ) — the quantity

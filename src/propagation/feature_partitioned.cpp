@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/perf.hpp"
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/mutex.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace gsgcn::propagation {
 
@@ -34,143 +30,30 @@ Slice feature_slice(std::size_t f, int q, int i) {
   return {b, b + len};
 }
 
-int analytic_q(const graph::CsrGraph& g, std::size_t f,
-               const FeaturePartitionOptions& opts, int threads) {
+/// Q from the cost model: Theorem 2's Q* with the LLC term, or the
+/// caller's pins. A caller-supplied cache_bytes pins the pure Theorem 2
+/// model (callers set it precisely to observe the analytic response), so
+/// the detected LLC only joins when S_cache is detected too.
+int pick_q(const graph::CsrGraph& g, std::size_t f,
+           const FeaturePartitionOptions& opts, int threads) {
+  // f == 0 still needs q >= 1 so the slice loop and its assert stay sane.
+  const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
+  if (opts.force_q > 0) return std::min(opts.force_q, fmax);
   CommModelParams m;
   m.n = g.num_vertices();
   m.d = g.average_degree();
   m.f = static_cast<std::int64_t>(f);
   m.elem_bytes = sizeof(float);
   m.idx_bytes = sizeof(graph::Vid);
-  m.cache_bytes =
-      opts.cache_bytes != 0 ? opts.cache_bytes : util::private_cache_bytes();
+  if (opts.cache_bytes != 0) {
+    m.cache_bytes = opts.cache_bytes;
+  } else {
+    m.cache_bytes = util::private_cache_bytes();
+    m.llc_bytes = util::last_level_cache_bytes();
+    m.min_slice = static_cast<std::int64_t>(tiled::kChunkCols);
+  }
   m.processors = threads;
   return choose_feature_partitions(m);
-}
-
-int pick_q(const graph::CsrGraph& g, std::size_t f,
-           const FeaturePartitionOptions& opts, int threads) {
-  // f == 0 still needs q >= 1 so the slice loop and its assert stay sane.
-  const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
-  if (opts.force_q > 0) return std::min(opts.force_q, fmax);
-  return analytic_q(g, f, opts, threads);
-}
-
-// ---- measured-Q autotuner ------------------------------------------------
-// Theorem 2's Q* = max{C, ⌈elem·n·f/S_cache⌉} trusts the cache model; the
-// autotuner treats it as a seed, times a few candidates around it, and
-// caches the winner per subgraph shape. The tiled kernel is bit-identical
-// for every Q (see spmm.hpp), so a measured pick never changes numerics —
-// resume and thread-count determinism are unaffected.
-
-struct QKey {
-  std::uint64_t n = 0;
-  std::uint64_t e = 0;
-  std::uint64_t f = 0;
-  int threads = 0;
-  bool backward = false;
-  bool operator==(const QKey&) const = default;
-};
-
-struct QKeyHash {
-  std::size_t operator()(const QKey& k) const {
-    std::size_t h = 0;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= std::hash<std::uint64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-           (h >> 2);
-    };
-    mix(k.n);
-    mix(k.e);
-    mix(k.f);
-    mix(static_cast<std::uint64_t>(k.threads));
-    mix(k.backward ? 1 : 0);
-    return h;
-  }
-};
-
-class QCache {
- public:
-  bool lookup(const QKey& k, int* q) EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    const auto it = map_.find(k);
-    if (it == map_.end()) return false;
-    *q = it->second;
-    return true;
-  }
-
-  void store(const QKey& k, int q) EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    map_.emplace(k, q);
-  }
-
- private:
-  util::Mutex mu_;
-  std::unordered_map<QKey, int, QKeyHash> map_ GUARDED_BY(mu_);
-};
-
-QCache& q_cache() {
-  static QCache cache;
-  return cache;
-}
-
-/// Q* has no edge-count term, and sampled subgraphs jitter in |E| from one
-/// draw to the next; quantizing e to <= 16 buckets per octave (~6% bins)
-/// keeps that jitter from defeating the cache.
-std::uint64_t quantize_edges(std::uint64_t e) {
-  std::uint64_t step = 1;
-  while ((e >> 4) >= step) step <<= 1;
-  return e - e % step;
-}
-
-std::vector<int> q_candidates(int q_star, int c, int fmax) {
-  const int lo = std::min(std::max(c, 1), fmax);
-  std::vector<int> out;
-  const auto push = [&](int q) {
-    q = std::clamp(q, lo, fmax);
-    if (std::find(out.begin(), out.end(), q) == out.end()) out.push_back(q);
-  };
-  push(q_star);      // analytic seed first: exact ties keep Theorem 2's pick
-  push(q_star / 2);  // fatter slices (model overestimated the working set)
-  push(q_star * 2);  // thinner slices (model underestimated it)
-  push(lo);          // floor: C slices, the fattest that still feeds C cores
-  return out;
-}
-
-template <typename RunFn>
-int measured_q(const graph::CsrGraph& g, std::size_t f, int threads,
-               bool backward, int q_star, const RunFn& run) {
-  const QKey key{g.num_vertices(),
-                 quantize_edges(static_cast<std::uint64_t>(g.num_edges())),
-                 static_cast<std::uint64_t>(f), threads, backward};
-  int q = 0;
-  if (q_cache().lookup(key, &q)) return q;
-  const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
-  const std::vector<int> cands = q_candidates(q_star, threads, fmax);
-  q = cands.front();
-  if (cands.size() > 1) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const int cand : cands) {
-      double t = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 2; ++rep) {
-        const util::Timer timer;
-        run(cand);
-        t = std::min(t, timer.seconds());
-      }
-      if (t < best) {  // strict <: ties keep the earlier (analytic) entry
-        best = t;
-        q = cand;
-      }
-    }
-  }
-  q_cache().store(key, q);
-  return q;
-}
-
-bool use_autotune(const FeaturePartitionOptions& opts) {
-  // force_q pins Q outright; a caller-supplied cache_bytes pins the model
-  // (callers set it precisely to observe the analytic response), so either
-  // bypasses measurement.
-  return opts.autotune && opts.force_q == 0 && opts.cache_bytes == 0;
 }
 
 /// Forward aggregation over one feature slice for all vertices — the
@@ -252,15 +135,7 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
   const float* wp = w.empty() ? nullptr : w.data();
   // Q/C rounds of C concurrent slices (Algorithm 6 lines 4-6). A single
   // collapsed parallel-for gives the same schedule with less fork/join.
-  const auto run = [&](int slices) {
-    util::parallel_for(slices, c, [&](std::int64_t i) {
-      const Slice s = feature_slice(f, slices, static_cast<int>(i));
-      tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out, 0,
-                            n, s.begin, s.end, wp);
-    });
-  };
-  int q = pick_q(g, f, opts, c);
-  if (use_autotune(opts)) q = measured_q(g, f, c, /*backward=*/false, q, run);
+  const int q = pick_q(g, f, opts, c);
   GSGCN_ASSERT(
       q >= 1 && static_cast<std::size_t>(q) <= std::max<std::size_t>(f, 1),
       "feature partition count out of range");
@@ -270,7 +145,11 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
       static_cast<std::int64_t>(g.num_edges()),
       static_cast<std::int64_t>(f));
   GSGCN_PERF_REGION_WORK("propagate", work.flops, work.bytes);
-  run(q);
+  util::parallel_for(q, c, [&](std::int64_t i) {
+    const Slice s = feature_slice(f, q, static_cast<int>(i));
+    tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out, 0,
+                          n, s.begin, s.end, wp);
+  });
   return q;
 }
 
@@ -285,15 +164,7 @@ int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
   const std::vector<float> w =
       tiled::source_weights(g, opts.aggregator, /*backward=*/true, c);
   const float* wp = w.empty() ? nullptr : w.data();
-  const auto run = [&](int slices) {
-    util::parallel_for(slices, c, [&](std::int64_t i) {
-      const Slice s = feature_slice(f, slices, static_cast<int>(i));
-      tiled::aggregate_rows(g, opts.aggregator, /*backward=*/true, d_out, d_in,
-                            0, n, s.begin, s.end, wp);
-    });
-  };
-  int q = pick_q(g, f, opts, c);
-  if (use_autotune(opts)) q = measured_q(g, f, c, /*backward=*/true, q, run);
+  const int q = pick_q(g, f, opts, c);
   GSGCN_ASSERT(
       q >= 1 && static_cast<std::size_t>(q) <= std::max<std::size_t>(f, 1),
       "feature partition count out of range");
@@ -303,7 +174,11 @@ int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
       static_cast<std::int64_t>(g.num_edges()),
       static_cast<std::int64_t>(f));
   GSGCN_PERF_REGION_WORK("propagate", work.flops, work.bytes);
-  run(q);
+  util::parallel_for(q, c, [&](std::int64_t i) {
+    const Slice s = feature_slice(f, q, static_cast<int>(i));
+    tiled::aggregate_rows(g, opts.aggregator, /*backward=*/true, d_out, d_in,
+                          0, n, s.begin, s.end, wp);
+  });
   return q;
 }
 

@@ -6,7 +6,9 @@
 // propagate Q/C rounds of C slices in parallel. Each processor's working
 // set (one feature slice of all vertices) fits in its private cache, load
 // balance is perfect (all processors do identical work per round), and
-// there is no pre-processing.
+// there is no pre-processing. Q is analytic and a pure function of
+// (n, d, f, C, cache sizes): when the whole feature matrix fits the
+// last-level cache, Q = C (see comm_model.hpp).
 //
 // The 2-D scheme (P vertex parts × Q feature slices) is what the label-
 // propagation literature would do; it is implemented here as the
@@ -22,14 +24,11 @@ namespace gsgcn::propagation {
 
 struct FeaturePartitionOptions {
   int threads = 0;     // C (0 = OpenMP max)
-  std::size_t cache_bytes = 0;  // per-core private cache; 0 = detect (L2)
+  // Per-core private cache. 0 = detect the L2 and the LLC; a caller value
+  // pins Theorem 2's Q* with no LLC term.
+  std::size_t cache_bytes = 0;
   int force_q = 0;     // 0 = use choose_feature_partitions
   AggregatorKind aggregator = AggregatorKind::kMean;
-  // Time a few Q candidates around the analytic Q* and keep the fastest,
-  // cached per (n, e, f, threads) shape. Only engages when neither force_q
-  // nor cache_bytes pins the choice. The tiled kernel is bit-identical for
-  // every Q, so the measured pick never changes numerics.
-  bool autotune = true;
 };
 
 /// Mean aggregation via Algorithm 6 (P = 1, feature-only partitioning).
@@ -53,8 +52,8 @@ void propagate_2d(const graph::CsrGraph& g, const graph::Partition& parts,
                   tensor::Matrix& out, int threads = 0);
 
 /// The pre-tiling scalar slice kernels, kept as the measured baseline for
-/// bench_propagation (the tiled-vs-legacy CI gate). Always uses the
-/// analytic Q — no autotuning.
+/// bench_propagation (the tiled-vs-legacy CI gate). Picks Q exactly as
+/// the tiled entry points do.
 namespace legacy {
 int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   const tensor::Matrix& in,

@@ -88,7 +88,8 @@ void tiled_row(const graph::CsrGraph& g, graph::Vid v,
   std::size_t j = 0;
 #ifdef GSGCN_AVX2
   const __m256 vs = _mm256_set1_ps(s);
-  for (; j + 32 <= len; j += 32) {
+  static_assert(tiled::kChunkCols == 32, "four ymm accumulators below");
+  for (; j + tiled::kChunkCols <= len; j += tiled::kChunkCols) {
     __m256 a0 = _mm256_setzero_ps();
     __m256 a1 = _mm256_setzero_ps();
     __m256 a2 = _mm256_setzero_ps();

@@ -81,12 +81,16 @@ void aggregate_forward_edge_centric(const graph::CsrGraph& g,
 /// Accumulation order is always CSR neighbor order and every column sees
 /// the identical FMA/add chain regardless of which chunk width (32-wide,
 /// 8-wide, scalar tail) or slice computed it, so results are bit-identical
-/// for any Q, any row block, and any thread count — which is what lets
-/// the measured-Q autotuner vary Q without touching numerics.
+/// for any Q, any row block, and any thread count — so the cache-size
+/// term in the choice of Q never touches numerics.
 namespace tiled {
 
 /// Row-block granularity the aggregate_* wrappers parallelize over.
 inline constexpr std::int64_t kRowBlock = 64;
+
+/// Widest column chunk a row accumulates in registers (four ymm). Narrower
+/// slices fall back to 8-wide and scalar chunks.
+inline constexpr std::size_t kChunkCols = 32;
 
 /// Per-source weight table for (kind, backward), or empty when the path
 /// needs none (sum always; mean forward, whose 1/deg is the epilogue).

@@ -6,6 +6,7 @@
 #include <sched.h>
 #endif
 
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -13,26 +14,57 @@
 namespace gsgcn::util {
 
 namespace {
-std::size_t read_l2_bytes() {
-  // sysfs reports e.g. "2048K"; index2 is conventionally the unified L2.
-  std::ifstream in("/sys/devices/system/cpu/cpu0/cache/index2/size");
+
+std::string read_line(const std::string& path) {
+  std::ifstream in(path);
   std::string s;
-  if (in >> s && !s.empty()) {
-    const char suffix = s.back();
-    const std::size_t value = std::strtoull(s.c_str(), nullptr, 10);
-    if (value > 0) {
-      if (suffix == 'K') return value * 1024;
-      if (suffix == 'M') return value * 1024 * 1024;
-      return value;
-    }
-  }
-  return 256 * 1024;  // the paper's assumption
+  in >> s;
+  return s;
 }
+
+/// sysfs reports sizes like "48K", "2048K" or "300M".
+std::size_t parse_size(const std::string& s) {
+  if (s.empty()) return 0;
+  const std::size_t value = std::strtoull(s.c_str(), nullptr, 10);
+  switch (s.back()) {
+    case 'K': return value << 10;
+    case 'M': return value << 20;
+    case 'G': return value << 30;
+    default: return value;
+  }
+}
+
+CacheSizes read_cache_sizes() {
+  const std::string base = "/sys/devices/system/cpu/cpu0/cache/index";
+  CacheSizes c;
+  for (int i = 0; i < 8; ++i) {
+    const std::string dir = base + std::to_string(i) + "/";
+    const std::string level = read_line(dir + "level");
+    if (level.empty()) break;
+    const std::string type = read_line(dir + "type");
+    const std::size_t size = parse_size(read_line(dir + "size"));
+    if (level == "1" && type == "Data") c.l1d = size;
+    if (level == "2" && type != "Instruction") c.l2 = size;
+    if (level == "3" && type != "Instruction") c.l3 = size;
+  }
+  return c;
+}
+
 }  // namespace
 
+const CacheSizes& cache_sizes() {
+  static const CacheSizes sizes = read_cache_sizes();
+  return sizes;
+}
+
 std::size_t private_cache_bytes() {
-  static const std::size_t bytes = read_l2_bytes();
-  return bytes;
+  const std::size_t l2 = cache_sizes().l2;
+  return l2 != 0 ? l2 : 256 * 1024;  // the paper's assumption
+}
+
+std::size_t last_level_cache_bytes() {
+  const CacheSizes& c = cache_sizes();
+  return c.l3 != 0 ? c.l3 : c.l2;
 }
 
 bool pin_current_thread_to_cpu(int cpu) {

@@ -101,11 +101,26 @@ class ScopedAffinity {
 #endif
 };
 
+/// Data-cache sizes of cpu0 in bytes, read from sysfs at first call
+/// (0 = not reported).
+struct CacheSizes {
+  std::size_t l1d = 0;
+  std::size_t l2 = 0;  // unified or data
+  std::size_t l3 = 0;
+};
+const CacheSizes& cache_sizes();
+
 /// Per-core private (L2) data-cache size in bytes, read from sysfs at
 /// first call; falls back to the paper's 256 KiB when undetectable. The
 /// feature-partitioned propagation sizes Q against this (Theorem 2's
 /// S_cache).
 std::size_t private_cache_bytes();
+
+/// Size in bytes of the last-level data cache (L3, else L2; often shared
+/// by all cores), read from sysfs at first call; 0 when undetectable.
+/// The feature-partitioned propagation cuts at most C feature slices
+/// when the whole feature matrix fits in it.
+std::size_t last_level_cache_bytes();
 
 /// Static range split: chunk `i` of `p` over [0, n) → [begin, end).
 /// Distributes the remainder over the first (n % p) chunks.

@@ -70,6 +70,53 @@ TEST(CommModel, ChooseQCacheBound) {
   EXPECT_GE(choose_feature_partitions(m), 125);
 }
 
+TEST(CommModel, LlcTermGivesCWhenFeaturesFit) {
+  // 8·8000·512 B = 32.8 MB: Theorem 2 alone slices 125 ways for a 256 KiB
+  // L2, but an LLC that holds the whole matrix leaves only the C floor.
+  CommModelParams m = paper_params();
+  m.processors = 4;
+  m.llc_bytes = 64ull << 20;
+  EXPECT_EQ(choose_feature_partitions(m), 4);
+  m.llc_bytes = 8ull * 8000 * 512;  // exactly fits
+  EXPECT_EQ(choose_feature_partitions(m), 4);
+}
+
+TEST(CommModel, LlcTermKeepsQStarWhenFeaturesExceedIt) {
+  CommModelParams m = paper_params();
+  m.processors = 4;
+  m.llc_bytes = 8ull * 8000 * 512 - 1;  // one byte short
+  CommModelParams no_llc = m;
+  no_llc.llc_bytes = 0;
+  EXPECT_EQ(choose_feature_partitions(m), choose_feature_partitions(no_llc));
+  EXPECT_GE(choose_feature_partitions(m), 125);
+}
+
+TEST(CommModel, LlcTermRespectsFeatureClamp) {
+  // f < C: even the C floor clamps to f slices.
+  CommModelParams m = paper_params();
+  m.f = 3;
+  m.processors = 8;
+  m.llc_bytes = 64ull << 20;
+  EXPECT_EQ(choose_feature_partitions(m), 3);
+  m.llc_bytes = 1;  // does not fit: Q* clamps the same way
+  EXPECT_EQ(choose_feature_partitions(m), 3);
+}
+
+TEST(CommModel, LlcTermStopsAtMinSlice) {
+  // Under the LLC term no slice is cut narrower than min_slice features:
+  // f = 64 at 32-wide slices feeds 2 of 4 processors.
+  CommModelParams m = paper_params();
+  m.f = 64;
+  m.processors = 4;
+  m.llc_bytes = 64ull << 20;
+  m.min_slice = 32;
+  EXPECT_EQ(choose_feature_partitions(m), 2);
+  m.f = 65;  // a partial slice still counts
+  EXPECT_EQ(choose_feature_partitions(m), 3);
+  m.llc_bytes = 0;  // Theorem 2 alone ignores min_slice
+  EXPECT_GE(choose_feature_partitions(m), 4);
+}
+
 TEST(CommModel, ChooseQThrowsOnZeroCache) {
   // Regression: cache_bytes = 0 used to feed an unguarded division whose
   // infinite quotient hit UB on the float→int cast.

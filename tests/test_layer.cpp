@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gcn/layer.hpp"
 #include "propagation/spmm.hpp"
 #include "tensor/gemm.hpp"
@@ -291,6 +293,42 @@ TEST(Layer, MultithreadedMatchesSerial) {
   EXPECT_LT(Matrix::max_abs_diff(dx1, dx4), 1e-5f);
   EXPECT_LT(Matrix::max_abs_diff(l1.grad_w_self(), l2.grad_w_self()), 1e-4f);
   EXPECT_LT(Matrix::max_abs_diff(l1.grad_w_neigh(), l2.grad_w_neigh()), 1e-4f);
+}
+
+TEST(Layer, BackwardWeightsBitIdenticalToFullBackward) {
+  // The first layer of a model skips the input gradient; its weight
+  // gradients must not move by a single bit for that. Dropout is on, so
+  // the skipped path includes the mask multiply.
+  const CsrGraph g = gsgcn::testing::small_er(70, 300, 60);
+  util::Xoshiro256 rng_x(61);
+  const Matrix x = Matrix::gaussian(70, 9, 1.0f, rng_x);
+  const Matrix d = Matrix::gaussian(70, 10, 1.0f, rng_x);
+  for (const int threads : {1, 4}) {
+    util::Xoshiro256 rng_a(62);
+    GraphConvLayer full(9, 5, true, rng_a);
+    util::Xoshiro256 rng_b(62);
+    GraphConvLayer weights_only(9, 5, true, rng_b);
+    full.set_dropout(0.3f);
+    weights_only.set_dropout(0.3f);
+    (void)full.forward(g, x, threads, nullptr, /*training=*/true);
+    (void)weights_only.forward(g, x, threads, nullptr, /*training=*/true);
+    (void)full.backward(g, d, threads);
+    weights_only.backward_weights(d, threads);
+    const std::size_t bytes = full.grad_w_self().size() * sizeof(float);
+    EXPECT_EQ(0, std::memcmp(full.grad_w_self().data(),
+                             weights_only.grad_w_self().data(), bytes))
+        << "threads=" << threads;
+    EXPECT_EQ(0, std::memcmp(full.grad_w_neigh().data(),
+                             weights_only.grad_w_neigh().data(), bytes))
+        << "threads=" << threads;
+  }
+}
+
+TEST(Layer, BackwardWeightsBeforeForwardThrows) {
+  util::Xoshiro256 rng(63);
+  GraphConvLayer layer(4, 2, true, rng);
+  const Matrix d(5, 4);
+  EXPECT_THROW(layer.backward_weights(d, 1), std::logic_error);
 }
 
 TEST(Layer, PhaseClockAccumulates) {

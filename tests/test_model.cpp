@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "gcn/inference.hpp"
@@ -143,6 +144,48 @@ TEST(ModelGrad, SingleLayer) {
   const Matrix analytic = fx.model.layers()[0].grad_w_neigh();
   gsgcn::testing::check_gradient(fx.model.layers()[0].w_neigh(), analytic,
                                  [&] { return fx.loss(); }, 16);
+}
+
+TEST(Model, FirstLayerSkipsInputGradientBitExactly) {
+  // GcnModel::backward forms only the weight gradients of layer 0. Replay
+  // the same backward through the public pieces, with layer 0's FULL
+  // backward, and require every weight gradient to match bit for bit.
+  // Dropout is on, so the skipped path includes the mask multiply.
+  const CsrGraph g = gsgcn::testing::small_er(40, 160, 12);
+  util::Xoshiro256 rng(13);
+  const Matrix x = Matrix::gaussian(40, 6, 1.0f, rng);
+  Matrix y(40, 3);
+  for (std::size_t i = 0; i < 40; ++i) y(i, rng.below(3)) = 1.0f;
+  ModelConfig mc = small_config(2);
+  mc.dropout = 0.25f;
+  for (const int threads : {1, 4}) {
+    GcnModel model(mc);
+    Matrix dz(40, 3);
+    softmax_ce_loss(model.forward(g, x, threads, nullptr, true), y, dz);
+    model.backward(g, dz, threads);
+
+    // Same seed: same weights and the same dropout streams.
+    GcnModel replay(mc);
+    auto& layers = replay.layers();
+    const Matrix& h0 = layers[0].forward(g, x, threads, nullptr, true);
+    const Matrix& h1 = layers[1].forward(g, h0, threads, nullptr, true);
+    Matrix d_hidden(h1.rows(), h1.cols());
+    tensor::gemm_nt(dz, replay.w_cls(), d_hidden, 1.0f, 0.0f, threads);
+    const Matrix& d1 = layers[1].backward(g, d_hidden, threads);
+    (void)layers[0].backward(g, d1, threads);
+
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      auto& a = model.layers()[l];
+      auto& b = layers[l];
+      const std::size_t bytes = a.grad_w_self().size() * sizeof(float);
+      EXPECT_EQ(0, std::memcmp(a.grad_w_self().data(), b.grad_w_self().data(),
+                               bytes))
+          << "layer " << l << " threads=" << threads;
+      EXPECT_EQ(0, std::memcmp(a.grad_w_neigh().data(),
+                               b.grad_w_neigh().data(), bytes))
+          << "layer " << l << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Model, AdamIntegrationReducesLoss) {

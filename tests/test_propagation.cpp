@@ -14,6 +14,7 @@
 #include "propagation/feature_partitioned.hpp"
 #include "propagation/spmm.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gsgcn::propagation {
@@ -166,6 +167,33 @@ TEST(FeaturePartitioned, ZeroColumnsAnalyticQ) {
   Matrix out(40, 0);
   EXPECT_EQ(propagate_feature_partitioned(g, in, out, {}), 1);
   EXPECT_EQ(propagate_feature_partitioned_backward(g, in, out, {}), 1);
+}
+
+TEST(FeaturePartitioned, DefaultQIsAPureFunctionOfShape) {
+  // Q is analytic: repeated calls on one shape return the same Q in both
+  // directions, with no timing in the loop, and match the cost model fed
+  // the detected cache sizes.
+  const CsrGraph g = gsgcn::testing::small_er(300, 1500, 23);
+  const Matrix in = random_features(300, 48, 24);
+  Matrix out(300, 48);
+  FeaturePartitionOptions opts;
+  opts.threads = 3;
+  CommModelParams m;
+  m.n = 300;
+  m.d = g.average_degree();
+  m.f = 48;
+  m.elem_bytes = sizeof(float);
+  m.idx_bytes = sizeof(graph::Vid);
+  m.cache_bytes = util::private_cache_bytes();
+  m.llc_bytes = util::last_level_cache_bytes();
+  m.min_slice = static_cast<std::int64_t>(tiled::kChunkCols);
+  m.processors = 3;
+  const int expect = choose_feature_partitions(m);
+  for (int rep = 0; rep < 5; ++rep) {
+    EXPECT_EQ(propagate_feature_partitioned(g, in, out, opts), expect);
+    EXPECT_EQ(propagate_feature_partitioned_backward(g, in, out, opts),
+              expect);
+  }
 }
 
 TEST(FeaturePartitioned, TinyCacheForcesMoreSlices) {
@@ -412,9 +440,9 @@ TEST_P(AggregatorSweep, AdjointOnEveryKernelPath) {
 
 // ---- bit-identity across Q, threads and kernel entry points ---------------
 
-// The autotuner may pick a different Q on every run (it measures wall
-// time), so the tiled kernel must produce bit-identical results for ANY
-// slicing — this is what keeps checkpoint/resume histories byte-stable.
+// Q depends on the host's cache sizes, so the tiled kernel must produce
+// bit-identical results for ANY slicing — this is what keeps
+// checkpoint/resume histories byte-stable across machines.
 TEST_P(AggregatorSweep, BitIdenticalAcrossThreadsAndQ) {
   const AggregatorKind kind = GetParam();
   const CsrGraph g = gsgcn::testing::small_er(150, 700, 50);
@@ -438,16 +466,17 @@ TEST_P(AggregatorSweep, BitIdenticalAcrossThreadsAndQ) {
           << "threads=" << threads << " q=" << q;
     }
   }
-  // The plain entry point and the autotuned path land on the same bits.
+  // The plain entry point and the default-options path land on the same
+  // bits.
   Matrix plain(150, 37);
   aggregate_forward(g, kind, in, plain, 4);
   EXPECT_EQ(0, std::memcmp(plain.data(), base.data(), bytes));
-  Matrix tuned(150, 37);
-  FeaturePartitionOptions tuned_opts;
-  tuned_opts.threads = 2;
-  tuned_opts.aggregator = kind;
-  propagate_feature_partitioned(g, in, tuned, tuned_opts);
-  EXPECT_EQ(0, std::memcmp(tuned.data(), base.data(), bytes));
+  Matrix defaults(150, 37);
+  FeaturePartitionOptions default_opts;
+  default_opts.threads = 2;
+  default_opts.aggregator = kind;
+  propagate_feature_partitioned(g, in, defaults, default_opts);
+  EXPECT_EQ(0, std::memcmp(defaults.data(), base.data(), bytes));
 }
 
 TEST_P(AggregatorSweep, BackwardBitIdenticalAcrossThreadsAndQ) {

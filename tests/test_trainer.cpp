@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic.hpp"
 #include "gcn/trainer.hpp"
 #include "util/timer.hpp"
@@ -133,6 +136,73 @@ TEST(Trainer, AsyncSamplingMatchesSyncExactly) {
   }
   EXPECT_EQ(rs.final_val_f1, ra.final_val_f1);
   EXPECT_EQ(rs.final_test_f1, ra.final_test_f1);
+}
+
+TEST(Trainer, FeatureStoreIsDatasetKeyedInEveryMode) {
+  // Internal and external stores alike are indexed by dataset ids: rows()
+  // is |V| of the whole graph, and a gather of dataset ids returns what a
+  // store built over ds.features returns, bit for bit.
+  const data::Dataset ds = easy_dataset();
+  const std::vector<std::uint32_t> ids = {0, 5, 17,
+                                          static_cast<std::uint32_t>(
+                                              ds.graph.num_vertices() - 1)};
+  struct Mode {
+    data::FeatureDtype dtype;
+    std::size_t cache_mb;
+  };
+  for (const Mode mode : {Mode{data::FeatureDtype::kF32, 0},
+                          Mode{data::FeatureDtype::kF32, 1},
+                          Mode{data::FeatureDtype::kF16, 0},
+                          Mode{data::FeatureDtype::kI8, 1}}) {
+    TrainerConfig cfg = fast_config();
+    cfg.feature_dtype = mode.dtype;
+    cfg.feature_cache_mb = mode.cache_mb;
+    const Trainer trainer(ds, cfg);
+    const data::FeatureStore* fs = trainer.feature_store();
+    ASSERT_NE(fs, nullptr);
+    EXPECT_EQ(fs->rows(), ds.graph.num_vertices());
+    EXPECT_EQ(fs->dtype(), mode.dtype);
+    data::FeatureStoreOptions fo;
+    fo.dtype = mode.dtype;
+    const data::FeatureStore ref = data::FeatureStore::build(ds.features, fo);
+    tensor::Matrix got(ids.size(), ds.feature_dim());
+    tensor::Matrix want(ids.size(), ds.feature_dim());
+    fs->gather(ids, got);
+    ref.gather(ids, want);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)))
+        << data::feature_dtype_name(mode.dtype) << " cache " << mode.cache_mb;
+  }
+  const data::FeatureStore ext = data::FeatureStore::view(ds.features);
+  const Trainer external(ds, fast_config(), &ext);
+  EXPECT_EQ(external.feature_store(), &ext);
+}
+
+TEST(Trainer, Fp32PathMatchesExternalViewExactly) {
+  // The internal fp32 store is a view of ds.features; training through it
+  // must equal training through a caller-supplied view, bit for bit.
+  const data::Dataset ds = easy_dataset();
+  TrainerConfig cfg = fast_config();
+  cfg.epochs = 3;
+  cfg.eval_every_epoch = false;
+  Trainer internal(ds, cfg);
+  const data::FeatureStore view = data::FeatureStore::view(ds.features);
+  Trainer external(ds, cfg, &view);
+  const TrainResult ri = internal.train();
+  const TrainResult re = external.train();
+  ASSERT_EQ(ri.history.size(), re.history.size());
+  for (std::size_t i = 0; i < ri.history.size(); ++i) {
+    EXPECT_EQ(ri.history[i].train_loss, re.history[i].train_loss)
+        << "epoch " << i;
+  }
+  const auto wi = internal.model().snapshot_weights();
+  const auto we = external.model().snapshot_weights();
+  ASSERT_EQ(wi.size(), we.size());
+  for (std::size_t i = 0; i < wi.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(wi[i].data(), we[i].data(),
+                             wi[i].size() * sizeof(float)))
+        << "tensor " << i;
+  }
 }
 
 TEST(Trainer, AsyncSamplingRepeatedTrainRestartsProducer) {
