@@ -2,10 +2,10 @@
 //
 // Four name families over |V| ∈ {6000, 9000} × f ∈ {64..512} × every
 // aggregator:
-//   BM_SpmmTiled/...          tiled kernel, default options: the analytic
-//                             Q with the LLC term (what training runs)
+//   BM_SpmmTiled/...          tiled kernel, default options: Q =
+//                             min{C, ⌈f/32⌉} (what training runs)
 //   BM_SpmmTiledAnalytic/...  tiled kernel pinned to Theorem 2's Q*
-//                             (detected L2, no LLC term)
+//                             (detected L2)
 //   BM_SpmmTiledBest/...      tiled kernel at the fastest of {Q*, Q*/2,
 //                             2Q*, C}, timed here
 //   BM_SpmmLegacy/...         pre-tiling scalar slice kernel (baseline)
@@ -15,11 +15,13 @@
 // sweep). Counters: GFLOPS and model_gbps from the obs::spmm_work model,
 // the measured PMU columns, and the q / q_analytic partition counts.
 //
-// GFLOPS and model_gbps come from each configuration's fastest call in a
-// per-shape round-robin over every configuration (shape_times): on a
-// shared multi-core host, stalls and load shifts lasting seconds swamp a
-// mean, while round-robin minima see the same host state. Two families
-// that run the same Q share one measurement.
+// Every time in a record — real_time, GFLOPS, model_gbps, items/s — is
+// the configuration's fastest call in a per-shape round-robin over every
+// configuration (shape_times), reported as manual time: on a shared
+// multi-core host, stalls and load shifts lasting seconds swamp a mean,
+// while round-robin minima see the same host state. Two families that
+// run the same Q share one measurement. The single timed-loop iteration
+// runs the kernel once more for the PMU columns only.
 
 #include <benchmark/benchmark.h>
 
@@ -53,7 +55,7 @@ struct Shape {
   graph::CsrGraph g;
   tensor::Matrix in;
   tensor::Matrix out;
-  propagation::FeaturePartitionOptions opts;  // default: analytic with LLC
+  propagation::FeaturePartitionOptions opts;  // default: Q = min{C, ⌈f/32⌉}
 
   Shape(graph::Vid n, std::size_t f, propagation::AggregatorKind kind) {
     util::Xoshiro256 rng(7 + n);
@@ -96,7 +98,7 @@ const ShapeTimes& shape_times(graph::Vid n, std::size_t f,
 
   Shape s(n, f, kind);
   ShapeTimes t;
-  // A caller-supplied S_cache pins Theorem 2's Q* (no LLC term).
+  // A caller-supplied S_cache pins Theorem 2's Q*.
   propagation::FeaturePartitionOptions analytic = s.opts;
   analytic.cache_bytes = util::private_cache_bytes();
   t.q_analytic =
@@ -162,6 +164,7 @@ void run_spmm(benchmark::State& state, graph::Vid n, std::size_t f,
     s.run(mode, q);
     benchmark::DoNotOptimize(s.out.data());
     benchmark::ClobberMemory();
+    state.SetIterationTime(secs);
   }
   const obs::Work work =
       obs::spmm_work(static_cast<std::int64_t>(n),
@@ -203,7 +206,9 @@ void register_benchmarks() {
           benchmark::RegisterBenchmark(
               name.c_str(), [n, f, kind, mode](benchmark::State& state) {
                 run_spmm(state, n, f, kind, mode);
-              });
+              })
+              ->UseManualTime()
+              ->Iterations(1);
         }
       }
     }

@@ -139,7 +139,8 @@ FeatureStore& FeatureStore::operator=(FeatureStore&&) noexcept = default;
 // ---------------------------------------------------------------------------
 
 FeatureStore FeatureStore::encode(const tensor::Matrix& features,
-                                  FeatureDtype dtype) {
+                                  FeatureDtype dtype,
+                                  std::span<const graph::Vid> scale_rows) {
   FeatureStore fs;
   fs.dtype_ = dtype;
   fs.rows_ = features.rows();
@@ -213,9 +214,18 @@ FeatureStore FeatureStore::encode(const tensor::Matrix& features,
     case FeatureDtype::kI8: {
       // Column min/max over a fixed block grid so the reduction order —
       // and therefore the scales — never depends on the thread count.
+      const bool all_rows = scale_rows.empty();
+      const std::size_t stat_rows = all_rows ? rows : scale_rows.size();
+      for (const graph::Vid v : scale_rows) {
+        if (v >= rows) {
+          throw std::invalid_argument(
+              "FeatureStore: scale_rows id " + std::to_string(v) +
+              " out of range (store has " + std::to_string(rows) + " rows)");
+        }
+      }
       constexpr std::size_t kBlocks = 64;
-      const std::size_t nblk = std::min(kBlocks, rows);
-      const std::size_t per = (rows + nblk - 1) / nblk;
+      const std::size_t nblk = std::min(kBlocks, stat_rows);
+      const std::size_t per = (stat_rows + nblk - 1) / nblk;
       std::vector<float> bmin(nblk * cols,
                               std::numeric_limits<float>::infinity());
       std::vector<float> bmax(nblk * cols,
@@ -224,13 +234,14 @@ FeatureStore FeatureStore::encode(const tensor::Matrix& features,
       float* bmaxp = bmax.data();
       util::parallel_for(
           static_cast<std::int64_t>(nblk), 0,
-          [&features, bminp, bmaxp, per, cols, rows](std::int64_t blk) {
+          [&features, scale_rows, all_rows, bminp, bmaxp, per, cols,
+           stat_rows](std::int64_t blk) {
             const std::size_t b = static_cast<std::size_t>(blk) * per;
-            const std::size_t e = std::min(rows, b + per);
+            const std::size_t e = std::min(stat_rows, b + per);
             float* mn = bminp + static_cast<std::size_t>(blk) * cols;
             float* mx = bmaxp + static_cast<std::size_t>(blk) * cols;
             for (std::size_t i = b; i < e; ++i) {
-              const float* r = features.row(i);
+              const float* r = features.row(all_rows ? i : scale_rows[i]);
               for (std::size_t j = 0; j < cols; ++j) {
                 mn[j] = std::min(mn[j], r[j]);
                 mx[j] = std::max(mx[j], r[j]);
@@ -284,8 +295,9 @@ FeatureStore FeatureStore::encode(const tensor::Matrix& features,
 
 FeatureStore FeatureStore::build(const tensor::Matrix& features,
                                  const FeatureStoreOptions& opts,
-                                 std::span<const graph::Vid> hot_order) {
-  FeatureStore fs = encode(features, opts.dtype);
+                                 std::span<const graph::Vid> hot_order,
+                                 std::span<const graph::Vid> scale_rows) {
+  FeatureStore fs = encode(features, opts.dtype, scale_rows);
   fs.build_cache(opts.cache_mb, hot_order);
   return fs;
 }

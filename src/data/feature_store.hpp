@@ -92,10 +92,14 @@ class FeatureStore {
   /// Quantize `features` into an owned payload. `hot_order` ranks
   /// vertices for cache residency (e.g. graph::degree_order); the first
   /// rows that fit in opts.cache_mb are admitted. Empty order = row ids
-  /// ascending.
+  /// ascending. `scale_rows` (int8 only) names the rows whose column
+  /// min/max set the per-column scales, e.g. the training split, so no
+  /// other row's statistics shape what those rows decode to; rows
+  /// outside the range saturate. Empty = every row.
   static FeatureStore build(const tensor::Matrix& features,
                             const FeatureStoreOptions& opts,
-                            std::span<const graph::Vid> hot_order = {});
+                            std::span<const graph::Vid> hot_order = {},
+                            std::span<const graph::Vid> scale_rows = {});
 
   /// Zero-copy fp32 passthrough over an existing matrix, which must
   /// outlive the store. gather() matches tensor::gather_rows exactly.
@@ -147,7 +151,8 @@ class FeatureStore {
   void decode_row(std::size_t r, float* out) const;
   void build_cache(std::size_t cache_mb, std::span<const graph::Vid> order);
   static FeatureStore encode(const tensor::Matrix& features,
-                             FeatureDtype dtype);
+                             FeatureDtype dtype,
+                             std::span<const graph::Vid> scale_rows = {});
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 

@@ -97,7 +97,7 @@ const tensor::Matrix& GraphConvLayer::forward(const graph::CsrGraph& g,
   return act_;
 }
 
-const tensor::Matrix& GraphConvLayer::weight_backward(
+const tensor::Matrix& GraphConvLayer::backward_weights(
     const tensor::Matrix& d_out, int threads, PhaseClock* clock) {
   if (h_in_ == nullptr) {
     throw std::logic_error("GraphConvLayer::backward before forward");
@@ -109,6 +109,8 @@ const tensor::Matrix& GraphConvLayer::weight_backward(
     throw std::invalid_argument("GraphConvLayer::backward: grad shape " +
                                 d_out.shape_str());
   }
+  std::unique_ptr<util::ScopedPhase> p;
+  if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
 
   // act_ holds the post-ReLU output, which carries the same x > 0 mask as
   // the pre-activation (relu(x) > 0 ⇔ x > 0). Without ReLU, d_out is the
@@ -120,8 +122,6 @@ const tensor::Matrix& GraphConvLayer::weight_backward(
   const tensor::Matrix& d_pre = relu_ ? d_pre_ : d_out;
   // The two halves of the concat gradient, consumed in place as strided
   // views — no split copy, no per-branch scratch.
-  std::unique_ptr<util::ScopedPhase> p;
-  if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
   tensor::gemm_tn(h_in, tensor::ConstMatrixView::cols_slice(d_pre, 0, fo),
                   d_w_self_, 1.0f, 0.0f, threads);
   tensor::gemm_tn(h_agg_, tensor::ConstMatrixView::cols_slice(d_pre, fo, fo),
@@ -129,25 +129,18 @@ const tensor::Matrix& GraphConvLayer::weight_backward(
   return d_pre;
 }
 
-void GraphConvLayer::backward_weights(const tensor::Matrix& d_out,
-                                      int threads, PhaseClock* clock) {
-  GSGCN_TRACE_SPAN_ID("layer/backward", d_out.rows());
-  weight_backward(d_out, threads, clock);
-}
-
 const tensor::Matrix& GraphConvLayer::backward(const graph::CsrGraph& g,
                                                const tensor::Matrix& d_out,
                                                int threads, PhaseClock* clock) {
   GSGCN_TRACE_SPAN_ID("layer/backward", d_out.rows());
-  const tensor::Matrix& d_pre = weight_backward(d_out, threads, clock);
-  const std::size_t n = d_pre.rows();
-  const std::size_t fo = out_dim();
-  ensure_shape(d_agg_, n, in_dim());
-  ensure_shape(d_in_, n, in_dim());
-
   {
     std::unique_ptr<util::ScopedPhase> p;
     if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
+    const tensor::Matrix& d_pre = backward_weights(d_out, threads);
+    const std::size_t n = d_pre.rows();
+    const std::size_t fo = out_dim();
+    ensure_shape(d_agg_, n, in_dim());
+    ensure_shape(d_in_, n, in_dim());
     // Input gradient, dense parts: d_in = d_self·W_selfᵀ; d_agg = d_neigh·W_neighᵀ.
     tensor::gemm_nt(tensor::ConstMatrixView::cols_slice(d_pre, 0, fo),
                     w_self_, d_in_, 1.0f, 0.0f, threads);

@@ -65,10 +65,13 @@ class GraphConvLayer {
 
   /// Backward for the weights only: the same weight gradients as
   /// backward(), bit for bit, without d(H_in) — no input-gradient GEMMs,
-  /// no backward SpMM, no dropout mask. The model's first layer uses it,
-  /// since nothing reads the gradient of the input features.
-  void backward_weights(const tensor::Matrix& d_out, int threads,
-                        PhaseClock* clock = nullptr);
+  /// no backward SpMM, no dropout mask. Returns the concat
+  /// pre-activation gradient, which backward() consumes for d(H_in). The
+  /// model's first layer calls it directly, since nothing reads the
+  /// gradient of the input features. Opens no trace span of its own.
+  const tensor::Matrix& backward_weights(const tensor::Matrix& d_out,
+                                         int threads,
+                                         PhaseClock* clock = nullptr);
 
   std::size_t in_dim() const { return w_self_.rows(); }
   std::size_t out_dim() const { return w_self_.cols(); }     // per branch
@@ -85,11 +88,6 @@ class GraphConvLayer {
   propagation::AggregatorKind aggregator() const { return aggregator_; }
 
  private:
-  /// Weight gradients from d(H_out); returns the concat pre-activation
-  /// gradient that the input-gradient half of backward() consumes.
-  const tensor::Matrix& weight_backward(const tensor::Matrix& d_out,
-                                        int threads, PhaseClock* clock);
-
   bool relu_;
   propagation::AggregatorKind aggregator_;
   float dropout_rate_ = 0.0f;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace gsgcn::gcn {
@@ -65,7 +66,10 @@ void GcnModel::backward(const graph::CsrGraph& g,
   for (std::size_t l = layers_.size() - 1; l > 0; --l) {
     d = &layers_[l].backward(g, *d, threads, clock);
   }
-  layers_.front().backward_weights(*d, threads, clock);
+  {
+    GSGCN_TRACE_SPAN_ID("layer/backward", d->rows());
+    layers_.front().backward_weights(*d, threads, clock);
+  }
   last_hidden_ = nullptr;
 }
 

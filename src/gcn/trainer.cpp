@@ -106,7 +106,10 @@ Trainer::Trainer(const data::Dataset& dataset, const TrainerConfig& config,
     // The internal store is keyed by dataset ids like an external one, so
     // fp32 with no cache is a zero-copy view of ds_.features. Any codec or
     // cache budget builds a compressed store over ds_.features, with cache
-    // residency ranked by training-graph degree.
+    // residency ranked by training-graph degree and int8 scales taken
+    // from the training rows alone: training rows decode exactly as a
+    // store built over the training split alone would decode them, and
+    // held-out statistics never shape a training input.
     if (cfg_.feature_dtype == data::FeatureDtype::kF32 &&
         cfg_.feature_cache_mb == 0) {
       feat_store_ = std::make_unique<data::FeatureStore>(
@@ -118,7 +121,7 @@ Trainer::Trainer(const data::Dataset& dataset, const TrainerConfig& config,
       std::vector<graph::Vid> hot = graph::degree_order(train_graph_);
       for (graph::Vid& v : hot) v = train_orig_[v];
       feat_store_ = std::make_unique<data::FeatureStore>(
-          data::FeatureStore::build(ds_.features, fo, hot));
+          data::FeatureStore::build(ds_.features, fo, hot, train_orig_));
     }
   }
 

@@ -30,24 +30,21 @@ int choose_feature_partitions(const CommModelParams& m) {
   }
   const double bytes = static_cast<double>(m.elem_bytes) *
                        static_cast<double>(m.n) * static_cast<double>(m.f);
-  int q = m.processors;
-  if (m.llc_bytes != 0 && bytes <= static_cast<double>(m.llc_bytes)) {
-    // LLC term: a feature matrix the LLC holds costs no DRAM traffic at
-    // any Q, so slicing only buys parallelism — up to C slices, none
-    // narrower than min_slice.
-    const std::int64_t width = std::max<std::int64_t>(1, m.min_slice);
-    q = static_cast<int>(std::min<std::int64_t>(
-        q, std::max<std::int64_t>(1, (m.f + width - 1) / width)));
-  } else {
-    const int q_cache = static_cast<int>(
-        std::ceil(bytes / static_cast<double>(m.cache_bytes)));
-    // Q* = max{C, ⌈elem·n·f / S_cache⌉} exactly as in Theorem 2 — rounding
-    // Q up further (e.g. to a multiple of C) can break the 2-approximation.
-    q = std::max(q, std::max(1, q_cache));
-  }
+  const int q_cache = static_cast<int>(
+      std::ceil(bytes / static_cast<double>(m.cache_bytes)));
+  // Q* = max{C, ⌈elem·n·f / S_cache⌉} exactly as in Theorem 2 — rounding Q
+  // up further (e.g. to a multiple of C) can break the 2-approximation.
+  int q = std::max(m.processors, std::max(1, q_cache));
   // Never more slices than features.
   q = std::min<int>(q, static_cast<int>(std::max<std::int64_t>(1, m.f)));
   return q;
+}
+
+int choose_parallel_partitions(std::int64_t f, int processors) {
+  if (processors < 1) throw std::invalid_argument("choose_q: C >= 1");
+  const std::int64_t slices = (f + kMinSliceCols - 1) / kMinSliceCols;
+  return static_cast<int>(
+      std::max<std::int64_t>(1, std::min<std::int64_t>(processors, slices)));
 }
 
 double g_comm_lower_bound(const CommModelParams& m) {

@@ -10,14 +10,15 @@
 // Q* = max{C, elem_bytes·n·f / S_cache}, g_comm ≤ 2 · min g_comm whenever
 // C ≤ (elem_bytes/idx_bytes)·f/d and idx_bytes·n·d ≤ S_cache.
 //
-// The model counts DRAM↔cache traffic only. When the whole feature
-// matrix fits the last-level cache there is no DRAM traffic left to
-// save, and every slice beyond C just re-streams the index lists, so
-// choose_feature_partitions takes an optional LLC term: Q = C when
-// elem_bytes·n·f ≤ S_LLC, Theorem 2's Q* otherwise. Slicing then buys
-// only parallelism, so it also stops at slices of min_slice features:
-// a slice narrower than the kernel's register tile costs more per
-// feature than another processor returns.
+// The model counts the traffic of feature slices that each fit the
+// private cache. In a row-major feature matrix that premise fails: a
+// slice narrower than a cache line still occupies whole lines, so a
+// slice's cache footprint never falls below n·64 B, and every slice
+// beyond the first re-streams the index lists. On the tiled kernel Q = C
+// beat Q* both with the feature matrix inside the last-level cache and
+// with it 1.4× larger (EXPERIMENTS.md, "Choosing Q"), so the kernels
+// slice for parallelism only (choose_parallel_partitions) unless a
+// caller pins S_cache to observe Theorem 2's response.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,8 +32,6 @@ struct CommModelParams {
   std::size_t elem_bytes = 8;  // paper: DOUBLE features
   std::size_t idx_bytes = 2;   // paper: INT16 subgraph vertex indices
   std::size_t cache_bytes = 256 * 1024;  // private L2 per core
-  std::size_t llc_bytes = 0;   // last-level cache; 0 = no LLC term
-  std::int64_t min_slice = 1;  // narrowest slice under the LLC term
   int processors = 1;          // C
 };
 
@@ -45,12 +44,20 @@ double g_comp(const CommModelParams& m);
 double g_comm(const CommModelParams& m, int p, int q, double gamma_p);
 
 /// The paper's feature-only choice Q* = max{C, ⌈elem_bytes·n·f/S_cache⌉},
-/// or Q = min{C, ⌈f/min_slice⌉} when llc_bytes is set and
-/// elem_bytes·n·f ≤ llc_bytes; either way clamped to at most f (never
-/// more slices than features).
-/// Deliberately NOT rounded up to a multiple of C — that can break the
-/// 2-approximation. Throws if cache_bytes is 0 or processors < 1.
+/// clamped to at most f (never more slices than features). Deliberately
+/// NOT rounded up to a multiple of C — that can break the 2-approximation.
+/// Throws if cache_bytes is 0 or processors < 1.
 int choose_feature_partitions(const CommModelParams& m);
+
+/// Narrowest feature slice worth a processor: the tiled kernel's
+/// register tile (propagation::tiled::kChunkCols). A narrower slice
+/// costs more per feature than another processor returns.
+inline constexpr std::int64_t kMinSliceCols = 32;
+
+/// Q the propagation kernels use when the caller pins nothing: one slice
+/// per processor, none narrower than kMinSliceCols features, so
+/// min{C, ⌈f/kMinSliceCols⌉} and at least 1. Throws if processors < 1.
+int choose_parallel_partitions(std::int64_t f, int processors);
 
 /// Lower bound elem_bytes·n·f on g_comm over all (P, Q, γ) — the quantity
 /// Theorem 2's 2-approximation is measured against.

@@ -30,28 +30,28 @@ Slice feature_slice(std::size_t f, int q, int i) {
   return {b, b + len};
 }
 
-/// Q from the cost model: Theorem 2's Q* with the LLC term, or the
-/// caller's pins. A caller-supplied cache_bytes pins the pure Theorem 2
-/// model (callers set it precisely to observe the analytic response), so
-/// the detected LLC only joins when S_cache is detected too.
+static_assert(kMinSliceCols == static_cast<std::int64_t>(tiled::kChunkCols),
+              "slices stop at the tiled kernel's register tile");
+
+/// Q from the caller's pins, else one slice per processor (no slice
+/// narrower than the register tile). A caller-supplied cache_bytes pins
+/// Theorem 2's Q* (callers set it precisely to observe the analytic
+/// response).
 int pick_q(const graph::CsrGraph& g, std::size_t f,
            const FeaturePartitionOptions& opts, int threads) {
   // f == 0 still needs q >= 1 so the slice loop and its assert stay sane.
   const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
   if (opts.force_q > 0) return std::min(opts.force_q, fmax);
+  if (opts.cache_bytes == 0) {
+    return choose_parallel_partitions(static_cast<std::int64_t>(f), threads);
+  }
   CommModelParams m;
   m.n = g.num_vertices();
   m.d = g.average_degree();
   m.f = static_cast<std::int64_t>(f);
   m.elem_bytes = sizeof(float);
   m.idx_bytes = sizeof(graph::Vid);
-  if (opts.cache_bytes != 0) {
-    m.cache_bytes = opts.cache_bytes;
-  } else {
-    m.cache_bytes = util::private_cache_bytes();
-    m.llc_bytes = util::last_level_cache_bytes();
-    m.min_slice = static_cast<std::int64_t>(tiled::kChunkCols);
-  }
+  m.cache_bytes = opts.cache_bytes;
   m.processors = threads;
   return choose_feature_partitions(m);
 }

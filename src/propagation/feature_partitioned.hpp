@@ -6,9 +6,10 @@
 // propagate Q/C rounds of C slices in parallel. Each processor's working
 // set (one feature slice of all vertices) fits in its private cache, load
 // balance is perfect (all processors do identical work per round), and
-// there is no pre-processing. Q is analytic and a pure function of
-// (n, d, f, C, cache sizes): when the whole feature matrix fits the
-// last-level cache, Q = C (see comm_model.hpp).
+// there is no pre-processing. Q is analytic and a pure function of the
+// shape: on this repo's row-major matrix, slicing pays only for
+// parallelism, so Q = min{C, ⌈f/32⌉} unless the caller pins S_cache for
+// Theorem 2's Q* (see comm_model.hpp).
 //
 // The 2-D scheme (P vertex parts × Q feature slices) is what the label-
 // propagation literature would do; it is implemented here as the
@@ -24,10 +25,10 @@ namespace gsgcn::propagation {
 
 struct FeaturePartitionOptions {
   int threads = 0;     // C (0 = OpenMP max)
-  // Per-core private cache. 0 = detect the L2 and the LLC; a caller value
-  // pins Theorem 2's Q* with no LLC term.
+  // Per-core private cache. 0 = slice for parallelism only
+  // (choose_parallel_partitions); a caller value pins Theorem 2's Q*.
   std::size_t cache_bytes = 0;
-  int force_q = 0;     // 0 = use choose_feature_partitions
+  int force_q = 0;     // 0 = pick Q from cache_bytes as above
   AggregatorKind aggregator = AggregatorKind::kMean;
 };
 

@@ -81,8 +81,8 @@ void aggregate_forward_edge_centric(const graph::CsrGraph& g,
 /// Accumulation order is always CSR neighbor order and every column sees
 /// the identical FMA/add chain regardless of which chunk width (32-wide,
 /// 8-wide, scalar tail) or slice computed it, so results are bit-identical
-/// for any Q, any row block, and any thread count — so the cache-size
-/// term in the choice of Q never touches numerics.
+/// for any Q, any row block, and any thread count — so the choice of Q
+/// never touches numerics.
 namespace tiled {
 
 /// Row-block granularity the aggregate_* wrappers parallelize over.

@@ -62,11 +62,6 @@ std::size_t private_cache_bytes() {
   return l2 != 0 ? l2 : 256 * 1024;  // the paper's assumption
 }
 
-std::size_t last_level_cache_bytes() {
-  const CacheSizes& c = cache_sizes();
-  return c.l3 != 0 ? c.l3 : c.l2;
-}
-
 bool pin_current_thread_to_cpu(int cpu) {
 #ifdef __linux__
   const int n = omp_get_num_procs();

@@ -116,12 +116,6 @@ const CacheSizes& cache_sizes();
 /// S_cache).
 std::size_t private_cache_bytes();
 
-/// Size in bytes of the last-level data cache (L3, else L2; often shared
-/// by all cores), read from sysfs at first call; 0 when undetectable.
-/// The feature-partitioned propagation cuts at most C feature slices
-/// when the whole feature matrix fits in it.
-std::size_t last_level_cache_bytes();
-
 /// Static range split: chunk `i` of `p` over [0, n) → [begin, end).
 /// Distributes the remainder over the first (n % p) chunks.
 struct Range {

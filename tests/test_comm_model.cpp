@@ -70,51 +70,32 @@ TEST(CommModel, ChooseQCacheBound) {
   EXPECT_GE(choose_feature_partitions(m), 125);
 }
 
-TEST(CommModel, LlcTermGivesCWhenFeaturesFit) {
-  // 8·8000·512 B = 32.8 MB: Theorem 2 alone slices 125 ways for a 256 KiB
-  // L2, but an LLC that holds the whole matrix leaves only the C floor.
+TEST(CommModel, ParallelQIsCWhateverTheSize) {
+  // One slice per processor at any n. Theorem 2 alone slices 125 ways at
+  // n = 8000 and one slice per feature at n = 200000 (3125 wanted, f =
+  // 512 allowed); the parallel Q stays at C for both.
   CommModelParams m = paper_params();
   m.processors = 4;
-  m.llc_bytes = 64ull << 20;
-  EXPECT_EQ(choose_feature_partitions(m), 4);
-  m.llc_bytes = 8ull * 8000 * 512;  // exactly fits
-  EXPECT_EQ(choose_feature_partitions(m), 4);
-}
-
-TEST(CommModel, LlcTermKeepsQStarWhenFeaturesExceedIt) {
-  CommModelParams m = paper_params();
-  m.processors = 4;
-  m.llc_bytes = 8ull * 8000 * 512 - 1;  // one byte short
-  CommModelParams no_llc = m;
-  no_llc.llc_bytes = 0;
-  EXPECT_EQ(choose_feature_partitions(m), choose_feature_partitions(no_llc));
   EXPECT_GE(choose_feature_partitions(m), 125);
+  EXPECT_EQ(choose_parallel_partitions(m.f, m.processors), 4);
+  m.n = 200000;
+  EXPECT_EQ(choose_feature_partitions(m), 512);
+  EXPECT_EQ(choose_parallel_partitions(m.f, m.processors), 4);
 }
 
-TEST(CommModel, LlcTermRespectsFeatureClamp) {
-  // f < C: even the C floor clamps to f slices.
-  CommModelParams m = paper_params();
-  m.f = 3;
-  m.processors = 8;
-  m.llc_bytes = 64ull << 20;
-  EXPECT_EQ(choose_feature_partitions(m), 3);
-  m.llc_bytes = 1;  // does not fit: Q* clamps the same way
-  EXPECT_EQ(choose_feature_partitions(m), 3);
+TEST(CommModel, ParallelQStopsAtMinSlice) {
+  // No slice narrower than kMinSliceCols = 32 features: f = 64 feeds 2 of
+  // 4 processors, a partial slice still counts, and f < 32 is one slice.
+  EXPECT_EQ(kMinSliceCols, 32);
+  EXPECT_EQ(choose_parallel_partitions(64, 4), 2);
+  EXPECT_EQ(choose_parallel_partitions(65, 4), 3);
+  EXPECT_EQ(choose_parallel_partitions(3, 8), 1);
+  EXPECT_EQ(choose_parallel_partitions(0, 8), 1);
+  EXPECT_EQ(choose_parallel_partitions(4096, 8), 8);
 }
 
-TEST(CommModel, LlcTermStopsAtMinSlice) {
-  // Under the LLC term no slice is cut narrower than min_slice features:
-  // f = 64 at 32-wide slices feeds 2 of 4 processors.
-  CommModelParams m = paper_params();
-  m.f = 64;
-  m.processors = 4;
-  m.llc_bytes = 64ull << 20;
-  m.min_slice = 32;
-  EXPECT_EQ(choose_feature_partitions(m), 2);
-  m.f = 65;  // a partial slice still counts
-  EXPECT_EQ(choose_feature_partitions(m), 3);
-  m.llc_bytes = 0;  // Theorem 2 alone ignores min_slice
-  EXPECT_GE(choose_feature_partitions(m), 4);
+TEST(CommModel, ParallelQThrowsWithoutProcessors) {
+  EXPECT_THROW(choose_parallel_partitions(64, 0), std::invalid_argument);
 }
 
 TEST(CommModel, ChooseQThrowsOnZeroCache) {

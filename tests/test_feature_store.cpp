@@ -239,6 +239,41 @@ TEST(FeatureStoreI8, ConstantColumnsAreExact) {
   }
 }
 
+TEST(FeatureStoreI8, ScaleRowsMatchAStoreOverThoseRowsAlone) {
+  // Scales from a row subset: those rows decode exactly as in a store
+  // built over the subset's own matrix, whatever the other rows hold.
+  const std::size_t rows = 300, cols = 13;
+  tensor::Matrix src = random_features(rows, cols, 41);
+  for (std::size_t i = 0; i < rows; i += 3) {
+    for (std::size_t j = 0; j < cols; ++j) src.row(i)[j] *= 50.0f;  // outliers
+  }
+  std::vector<graph::Vid> keep;
+  for (graph::Vid v = 1; v < rows; v += 3) keep.push_back(v);
+  keep.push_back(2);  // order does not matter
+  tensor::Matrix subset(keep.size(), cols);
+  tensor::gather_rows(src, keep, subset);
+
+  FeatureStoreOptions opts;
+  opts.dtype = FeatureDtype::kI8;
+  const FeatureStore full = FeatureStore::build(src, opts, {}, keep);
+  const FeatureStore alone = FeatureStore::build(subset, opts);
+  std::vector<std::uint32_t> local(keep.size());
+  for (std::uint32_t i = 0; i < local.size(); ++i) local[i] = i;
+  tensor::Matrix got(keep.size(), cols), want(keep.size(), cols);
+  full.gather(keep, got);
+  alone.gather(local, want);
+  EXPECT_TRUE(matrices_bit_identical(got, want));
+
+  // Without scale_rows the outliers widen every scale.
+  const FeatureStore all_rows = FeatureStore::build(src, opts);
+  all_rows.gather(keep, got);
+  EXPECT_FALSE(matrices_bit_identical(got, want));
+
+  const std::vector<graph::Vid> bad = {0, static_cast<graph::Vid>(rows)};
+  EXPECT_THROW(FeatureStore::build(src, opts, {}, bad),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Gather semantics.
 // ---------------------------------------------------------------------------

@@ -141,7 +141,8 @@ TEST(Trainer, AsyncSamplingMatchesSyncExactly) {
 TEST(Trainer, FeatureStoreIsDatasetKeyedInEveryMode) {
   // Internal and external stores alike are indexed by dataset ids: rows()
   // is |V| of the whole graph, and a gather of dataset ids returns what a
-  // store built over ds.features returns, bit for bit.
+  // store built over ds.features (int8 scales from the training rows)
+  // returns, bit for bit.
   const data::Dataset ds = easy_dataset();
   const std::vector<std::uint32_t> ids = {0, 5, 17,
                                           static_cast<std::uint32_t>(
@@ -164,7 +165,8 @@ TEST(Trainer, FeatureStoreIsDatasetKeyedInEveryMode) {
     EXPECT_EQ(fs->dtype(), mode.dtype);
     data::FeatureStoreOptions fo;
     fo.dtype = mode.dtype;
-    const data::FeatureStore ref = data::FeatureStore::build(ds.features, fo);
+    const data::FeatureStore ref =
+        data::FeatureStore::build(ds.features, fo, {}, ds.train_vertices);
     tensor::Matrix got(ids.size(), ds.feature_dim());
     tensor::Matrix want(ids.size(), ds.feature_dim());
     fs->gather(ids, got);
