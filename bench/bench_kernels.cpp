@@ -116,35 +116,46 @@ void subgraph_shapes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_GemmPackedNN)->Apply(subgraph_shapes);
 BENCHMARK(BM_GemmLegacyNN)->Apply(subgraph_shapes);
 
-// One TN and one NT pair at a representative shape so all three packed
-// orientations are covered by the comparison (TN = weight gradients,
-// NT = input gradients).
+// TN and NT pairs so all three packed orientations are covered by the
+// comparison (TN = weight gradients, NT = input gradients). TN takes
+// (K, m, n): C (m×n) = Aᵀ·B with A K×m and B K×n. Besides the square
+// 8000×128 shape, it runs the GCN's weight-gradient shapes at K = 6000
+// subgraph rows, where m (the layer's input width, 64–602) is the only
+// dimension the threads split.
 void BM_GemmPackedTN(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto f = static_cast<std::size_t>(state.range(1));
-  const tensor::Matrix a = random_matrix(m, f, 42);  // used transposed
-  const tensor::Matrix b = random_matrix(m, f, 43);
-  tensor::Matrix c(f, f);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const tensor::Matrix a = random_matrix(k, m, 42);  // used transposed
+  const tensor::Matrix b = random_matrix(k, n, 43);
+  tensor::Matrix c(m, n);
   const obs::PerfReading pr = obs::perf_read_thread();
   for (auto _ : state) {
     tensor::gemm_tn(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
-  set_gemm_counters(state, f, m, f, pr);
+  set_gemm_counters(state, m, k, n, pr);
 }
 
 void BM_GemmLegacyTN(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto f = static_cast<std::size_t>(state.range(1));
-  const tensor::Matrix a = random_matrix(m, f, 42);
-  const tensor::Matrix b = random_matrix(m, f, 43);
-  tensor::Matrix c(f, f);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const tensor::Matrix a = random_matrix(k, m, 42);
+  const tensor::Matrix b = random_matrix(k, n, 43);
+  tensor::Matrix c(m, n);
   const obs::PerfReading pr = obs::perf_read_thread();
   for (auto _ : state) {
     tensor::legacy::gemm_tn(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
-  set_gemm_counters(state, f, m, f, pr);
+  set_gemm_counters(state, m, k, n, pr);
+}
+
+void tn_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({8000, 128, 128});
+  b->Args({6000, 64, 64})->Args({6000, 200, 64});
+  b->Args({6000, 602, 128})->Args({6000, 512, 256});
 }
 
 void BM_GemmPackedNT(benchmark::State& state) {
@@ -175,8 +186,8 @@ void BM_GemmLegacyNT(benchmark::State& state) {
   set_gemm_counters(state, m, f, f, pr);
 }
 
-BENCHMARK(BM_GemmPackedTN)->Args({8000, 128});
-BENCHMARK(BM_GemmLegacyTN)->Args({8000, 128});
+BENCHMARK(BM_GemmPackedTN)->Apply(tn_shapes);
+BENCHMARK(BM_GemmLegacyTN)->Apply(tn_shapes);
 BENCHMARK(BM_GemmPackedNT)->Args({8000, 128});
 BENCHMARK(BM_GemmLegacyNT)->Args({8000, 128});
 

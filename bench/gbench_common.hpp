@@ -15,11 +15,10 @@
 
 namespace gsgcn::bench {
 
-// Single-precision FLOPs per core-cycle at peak: 2 FMA ports × 8 AVX2
-// lanes × 2 flops/FMA. Override with GSGCN_PEAK_FLOPS_PER_CYCLE for other
-// microarchitectures (e.g. 64 with AVX-512 kernels, 8 without FMA).
+// Single-precision FLOPs per core-cycle at peak for the GEMM kernel this
+// process runs (obs::MachineInfo; GSGCN_PEAK_FLOPS_PER_CYCLE overrides).
 inline double peak_flops_per_cycle() {
-  return util::env_double("GSGCN_PEAK_FLOPS_PER_CYCLE", 32.0);
+  return obs::machine_info().peak_flops_per_cycle;
 }
 
 /// Measured hardware-counter columns from a PerfReading taken just
@@ -84,6 +83,7 @@ inline int gbench_main(int argc, char** argv, const char* json_basename) {
   benchmark::AddCustomContext("l1d_bytes", std::to_string(mi.l1d_bytes));
   benchmark::AddCustomContext("l2_bytes", std::to_string(mi.l2_bytes));
   benchmark::AddCustomContext("l3_bytes", std::to_string(mi.l3_bytes));
+  benchmark::AddCustomContext("gemm_kernel", mi.gemm_kernel);
   benchmark::AddCustomContext(
       "pmu_available", obs::perf_counters_available() ? "true" : "false");
   benchmark::RunSpecifiedBenchmarks();

@@ -157,7 +157,8 @@ float FastGcnTrainer::train_step(const FastGcnBatch& batch) {
   tensor::Matrix labels(n_batch, ds_.num_classes());
   tensor::gather_rows(train_labels_, batch.nodes.back(), labels, threads);
   tensor::Matrix d_logits(n_batch, ds_.num_classes());
-  const float loss = gcn::classification_loss(ds_.mode, logits, labels, d_logits);
+  const float loss = gcn::classification_loss(ds_.mode, logits, labels,
+                                               d_logits, threads);
 
   tensor::gemm_tn(h[static_cast<std::size_t>(layers)], d_logits,
                   model_->grad_w_cls(), 1.0f, 0.0f, threads);

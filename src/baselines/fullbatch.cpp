@@ -46,7 +46,8 @@ gcn::TrainResult FullBatchTrainer::train() {
         model_->forward(train_graph_, train_features_, cfg_.threads, &clock);
     gcn::ensure_shape(d_logits_, logits.rows(), logits.cols());
     const float loss =
-        gcn::classification_loss(ds_.mode, logits, train_labels_, d_logits_);
+        gcn::classification_loss(ds_.mode, logits, train_labels_, d_logits_,
+                                 cfg_.threads);
     model_->backward(train_graph_, d_logits_, cfg_.threads, &clock);
     model_->apply_gradients(*opt_);
     ++result.iterations;

@@ -138,7 +138,8 @@ float GraphSageTrainer::train_step(const SageBatch& batch) {
   tensor::Matrix labels(n_batch, ds_.num_classes());
   tensor::gather_rows(train_labels_, batch.nodes.back(), labels, threads);
   tensor::Matrix d_logits(n_batch, ds_.num_classes());
-  const float loss = gcn::classification_loss(ds_.mode, logits, labels, d_logits);
+  const float loss = gcn::classification_loss(ds_.mode, logits, labels,
+                                               d_logits, threads);
 
   // ---- backward ----
   tensor::gemm_tn(h[static_cast<std::size_t>(layers)], d_logits,

@@ -390,10 +390,10 @@ TrainResult Trainer::train() {
           if (saint_ != nullptr) {
             const std::vector<float> w = saint_->batch_weights(sub.orig_ids);
             iter_loss = classification_loss_weighted(
-                ds_.mode, logits, batch_labels_, w, d_logits_);
+                ds_.mode, logits, batch_labels_, w, d_logits_, cfg_.threads);
           } else {
-            iter_loss =
-                classification_loss(ds_.mode, logits, batch_labels_, d_logits_);
+            iter_loss = classification_loss(ds_.mode, logits, batch_labels_,
+                                            d_logits_, cfg_.threads);
           }
         }
         // Report-kind fault site: poisons the observed loss so tests and

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <thread>
 
+#include "tensor/gemm.hpp"
 #include "util/env.hpp"
 #include "util/json_writer.hpp"
 #include "util/parallel.hpp"
@@ -92,8 +93,9 @@ MachineInfo probe_machine() {
   m.l1d_bytes = static_cast<std::int64_t>(caches.l1d);
   m.l2_bytes = static_cast<std::int64_t>(caches.l2);
   m.l3_bytes = static_cast<std::int64_t>(caches.l3);
-  m.peak_flops_per_cycle =
-      util::env_double("GSGCN_PEAK_FLOPS_PER_CYCLE", 32.0);
+  m.gemm_kernel = tensor::gemm_kernel_name();
+  m.peak_flops_per_cycle = util::env_double(
+      "GSGCN_PEAK_FLOPS_PER_CYCLE", tensor::gemm_peak_flops_per_cycle());
   return m;
 }
 
@@ -127,6 +129,7 @@ std::string machine_info_json(const MachineInfo& machine) {
   w.key("l1d_bytes").value(static_cast<std::int64_t>(machine.l1d_bytes));
   w.key("l2_bytes").value(static_cast<std::int64_t>(machine.l2_bytes));
   w.key("l3_bytes").value(static_cast<std::int64_t>(machine.l3_bytes));
+  w.key("gemm_kernel").value(machine.gemm_kernel);
   w.key("peak_flops_per_cycle").value(machine.peak_flops_per_cycle);
   w.end_object();
   return out;

@@ -21,9 +21,9 @@
 //   adam p params: ~10 flops/param; 28 bytes/param
 //                  (read w,g,m,v; write w,m,v).
 //
-// MachineInfo captures the host (hostname, CPU model, cache sizes, peak
-// flops/cycle) so committed baselines are attributable to hardware; the
-// same struct feeds the bench emitters' JSON headers.
+// MachineInfo captures the host (hostname, CPU model, cache sizes, GEMM
+// kernel, peak flops/cycle) so committed baselines are attributable to
+// hardware; the same struct feeds the bench emitters' JSON headers.
 
 #include <cstdint>
 #include <string>
@@ -58,8 +58,11 @@ struct MachineInfo {
   std::int64_t l1d_bytes = 0;  ///< 0 when sysfs is unavailable
   std::int64_t l2_bytes = 0;
   std::int64_t l3_bytes = 0;
+  /// GEMM micro-kernel this process runs (tensor::gemm_kernel_name()).
+  std::string gemm_kernel;
   /// Per-core peak f32 flops/cycle; GSGCN_PEAK_FLOPS_PER_CYCLE env
-  /// override, default 32 (AVX2 FMA: 2 ports x 8 lanes x 2 flops).
+  /// override, default that of the GEMM kernel's ISA assuming two FMA
+  /// ports (64 AVX-512, 32 AVX2; tensor::gemm_peak_flops_per_cycle()).
   double peak_flops_per_cycle = 32.0;
 };
 

@@ -7,7 +7,7 @@
 #include "obs/perf.hpp"
 #include "obs/roofline.hpp"
 #include "obs/trace.hpp"
-#include "util/aligned_buffer.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "util/parallel.hpp"
 
 #ifdef GSGCN_AVX2
@@ -17,37 +17,6 @@
 namespace gsgcn::tensor {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Blocking parameters (floats).
-//
-//   Mr×Nr   register tile: 6×16 = twelve 8-lane FMA accumulators, plus two
-//           B loads and one A broadcast — 15 of the 16 AVX2 ymm registers.
-//   Kc      K-block: one packed B strip (Nr·Kc·4 = 16 KiB) plus one packed
-//           A strip (Mr·Kc·4 = 6 KiB) stay L1-resident under the kernel.
-//   Mc      M-block: the packed A block (Mc·Kc·4 = 96 KiB) targets L2, and
-//           Mc is the parallel work unit — each thread packs and owns whole
-//           Mc row blocks, so results are bit-identical for every thread
-//           count (only the block→thread assignment changes).
-//   Nc      N-block: bounds the shared packed B panel (Kc·Nc·4 = 1 MiB).
-// ---------------------------------------------------------------------------
-constexpr std::size_t kMr = 6;
-constexpr std::size_t kNr = 16;
-constexpr std::size_t kKc = 256;
-constexpr std::size_t kMc = 96;    // multiple of kMr
-constexpr std::size_t kNc = 1024;  // multiple of kNr
-
-static_assert(kMc % kMr == 0, "Mc must hold whole register-tile rows");
-static_assert(kNc % kNr == 0, "Nc must hold whole register-tile columns");
-
-/// A GEMM operand as the kernel sees it: op(X)(r, c) with op ∈ {id, ᵀ}
-/// folded into the index map. Strided views fall out for free — ld is the
-/// distance between stored rows of the *underlying* buffer.
-struct Operand {
-  const float* p;
-  std::size_t ld;
-  bool trans;
-};
 
 void check_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols()) {
@@ -70,252 +39,6 @@ void check_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   }
 }
 
-/// Per-thread packing workspaces. thread_local so steady-state training
-/// does no allocation (OpenMP reuses its workers); under the TSan
-/// std::thread backend each fresh team member allocates once per region,
-/// which is the price of exact fork/join visibility, not a correctness
-/// issue.
-float* thread_a_panel() {
-  static thread_local util::AlignedBuffer<float> buf;
-  if (buf.size() < kMc * kKc) buf.reset(kMc * kKc);
-  return buf.data();
-}
-
-float* thread_b_panel() {
-  static thread_local util::AlignedBuffer<float> buf;
-  if (buf.size() < kKc * kNc) buf.reset(kKc * kNc);
-  return buf.data();
-}
-
-/// Pack op(A)[i0 .. i0+mc, k0 .. k0+kc) into Mr-row strips, k-major inside
-/// each strip: ap[strip][kk*Mr + r]. Rows past mc are zero-padded so the
-/// micro-kernel always runs full Mr tiles (the pad rows compute zeros that
-/// are never stored).
-void pack_a(float* ap, Operand a, std::size_t i0, std::size_t k0,
-            std::size_t mc, std::size_t kc) {
-  for (std::size_t s = 0; s < mc; s += kMr) {
-    const std::size_t mr = std::min(kMr, mc - s);
-    if (!a.trans) {
-      for (std::size_t r = 0; r < mr; ++r) {
-        const float* src = a.p + (i0 + s + r) * a.ld + k0;
-        for (std::size_t kk = 0; kk < kc; ++kk) ap[kk * kMr + r] = src[kk];
-      }
-    } else {
-      // op(A)(i, kk) = A(kk, i): walk source rows so reads stay contiguous.
-      for (std::size_t kk = 0; kk < kc; ++kk) {
-        const float* src = a.p + (k0 + kk) * a.ld + i0 + s;
-        float* dst = ap + kk * kMr;
-        for (std::size_t r = 0; r < mr; ++r) dst[r] = src[r];
-      }
-    }
-    if (mr < kMr) {
-      for (std::size_t kk = 0; kk < kc; ++kk) {
-        for (std::size_t r = mr; r < kMr; ++r) ap[kk * kMr + r] = 0.0f;
-      }
-    }
-    ap += kMr * kc;
-  }
-}
-
-/// Pack op(B)[k0 .. k0+kc, j0 .. j0+nc) into Nr-column strips, k-major:
-/// bp[strip][kk*Nr + c], columns past nc zero-padded.
-void pack_b(float* bp, Operand b, std::size_t k0, std::size_t j0,
-            std::size_t kc, std::size_t nc) {
-  for (std::size_t s = 0; s < nc; s += kNr) {
-    const std::size_t nr = std::min(kNr, nc - s);
-    if (!b.trans) {
-      for (std::size_t kk = 0; kk < kc; ++kk) {
-        const float* src = b.p + (k0 + kk) * b.ld + j0 + s;
-        float* dst = bp + kk * kNr;
-        for (std::size_t c = 0; c < nr; ++c) dst[c] = src[c];
-        for (std::size_t c = nr; c < kNr; ++c) dst[c] = 0.0f;
-      }
-    } else {
-      // op(B)(kk, j) = B(j, kk): each packed column is a contiguous B row.
-      for (std::size_t c = 0; c < nr; ++c) {
-        const float* src = b.p + (j0 + s + c) * b.ld + k0;
-        for (std::size_t kk = 0; kk < kc; ++kk) bp[kk * kNr + c] = src[kk];
-      }
-      for (std::size_t c = nr; c < kNr; ++c) {
-        for (std::size_t kk = 0; kk < kc; ++kk) bp[kk * kNr + c] = 0.0f;
-      }
-    }
-    bp += kNr * kc;
-  }
-}
-
-#ifdef GSGCN_AVX2
-
-/// The register tile: C[0..mr, 0..nr) (+)= alpha · Ap·Bp over kc terms,
-/// with Bp/Ap packed as above. Full tiles store straight from the
-/// accumulators (fusing beta and the optional ReLU); edge tiles spill
-/// through a stack tile and store scalar, so C rows/columns outside the
-/// matrix are never touched (beta == 0 never reads C at all).
-inline void micro_kernel(const float* ap, const float* bp, std::size_t kc,
-                         float* c, std::size_t ldc, std::size_t mr,
-                         std::size_t nr, float alpha, float beta, bool relu) {
-  // Twelve named accumulators (not arrays): GCC keeps an indexed __m256
-  // array on the stack and spills every FMA result, which costs more than
-  // half the kernel's throughput. Named locals register-allocate cleanly.
-  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-  __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
-  __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-  for (std::size_t kk = 0; kk < kc; ++kk) {
-    const __m256 b0 = _mm256_load_ps(bp + kk * kNr);
-    const __m256 b1 = _mm256_load_ps(bp + kk * kNr + 8);
-    const float* arow = ap + kk * kMr;
-    __m256 av = _mm256_broadcast_ss(arow + 0);
-    c00 = _mm256_fmadd_ps(av, b0, c00);
-    c01 = _mm256_fmadd_ps(av, b1, c01);
-    av = _mm256_broadcast_ss(arow + 1);
-    c10 = _mm256_fmadd_ps(av, b0, c10);
-    c11 = _mm256_fmadd_ps(av, b1, c11);
-    av = _mm256_broadcast_ss(arow + 2);
-    c20 = _mm256_fmadd_ps(av, b0, c20);
-    c21 = _mm256_fmadd_ps(av, b1, c21);
-    av = _mm256_broadcast_ss(arow + 3);
-    c30 = _mm256_fmadd_ps(av, b0, c30);
-    c31 = _mm256_fmadd_ps(av, b1, c31);
-    av = _mm256_broadcast_ss(arow + 4);
-    c40 = _mm256_fmadd_ps(av, b0, c40);
-    c41 = _mm256_fmadd_ps(av, b1, c41);
-    av = _mm256_broadcast_ss(arow + 5);
-    c50 = _mm256_fmadd_ps(av, b0, c50);
-    c51 = _mm256_fmadd_ps(av, b1, c51);
-  }
-  const __m256 acc0[kMr] = {c00, c10, c20, c30, c40, c50};
-  const __m256 acc1[kMr] = {c01, c11, c21, c31, c41, c51};
-  const __m256 valpha = _mm256_set1_ps(alpha);
-  const __m256 vzero = _mm256_setzero_ps();
-  if (mr == kMr && nr == kNr) {
-    const __m256 vbeta = _mm256_set1_ps(beta);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      float* cr = c + r * ldc;
-      __m256 v0 = _mm256_mul_ps(acc0[r], valpha);
-      __m256 v1 = _mm256_mul_ps(acc1[r], valpha);
-      if (beta != 0.0f) {
-        v0 = _mm256_fmadd_ps(vbeta, _mm256_loadu_ps(cr), v0);
-        v1 = _mm256_fmadd_ps(vbeta, _mm256_loadu_ps(cr + 8), v1);
-      }
-      if (relu) {
-        v0 = _mm256_max_ps(v0, vzero);
-        v1 = _mm256_max_ps(v1, vzero);
-      }
-      _mm256_storeu_ps(cr, v0);
-      _mm256_storeu_ps(cr + 8, v1);
-    }
-  } else {
-    alignas(32) float tile[kMr * kNr];
-    for (std::size_t r = 0; r < kMr; ++r) {
-      _mm256_store_ps(tile + r * kNr, _mm256_mul_ps(acc0[r], valpha));
-      _mm256_store_ps(tile + r * kNr + 8, _mm256_mul_ps(acc1[r], valpha));
-    }
-    for (std::size_t r = 0; r < mr; ++r) {
-      float* cr = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) {
-        float v = tile[r * kNr + j];
-        if (beta != 0.0f) v += beta * cr[j];
-        if (relu) v = v > 0.0f ? v : 0.0f;
-        cr[j] = v;
-      }
-    }
-  }
-}
-
-#else  // !GSGCN_AVX2
-
-/// Scalar fallback with the same packing, blocking, and accumulation
-/// order; results differ from the AVX2 path only by FMA contraction.
-inline void micro_kernel(const float* ap, const float* bp, std::size_t kc,
-                         float* c, std::size_t ldc, std::size_t mr,
-                         std::size_t nr, float alpha, float beta, bool relu) {
-  float acc[kMr][kNr] = {};
-  for (std::size_t kk = 0; kk < kc; ++kk) {
-    const float* arow = ap + kk * kMr;
-    const float* brow = bp + kk * kNr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r) {
-    float* cr = c + r * ldc;
-    for (std::size_t j = 0; j < nr; ++j) {
-      float v = alpha * acc[r][j];
-      if (beta != 0.0f) v += beta * cr[j];
-      if (relu) v = v > 0.0f ? v : 0.0f;
-      cr[j] = v;
-    }
-  }
-}
-
-#endif  // GSGCN_AVX2
-
-/// beta/epilogue-only path for k == 0 (C = beta·C, optionally clamped).
-void scale_epilogue_only(MatrixView c, float beta, Epilogue epilogue,
-                         int threads) {
-  const std::size_t n = c.cols();
-  util::parallel_for(
-      static_cast<std::int64_t>(c.rows()), threads, [&](std::int64_t ii) {
-        float* cr = c.row(static_cast<std::size_t>(ii));
-        for (std::size_t j = 0; j < n; ++j) {
-          float v = beta == 0.0f ? 0.0f : beta * cr[j];
-          if (epilogue == Epilogue::kRelu) v = v > 0.0f ? v : 0.0f;
-          cr[j] = v;
-        }
-      });
-}
-
-/// Shared driver: C = alpha·op(A)·op(B) + beta·C over the blocked loop
-/// nest. B panels are packed once per (jc, kc) block by the calling
-/// thread; Mc row blocks then fan out across the team, each packing its
-/// own A block into a thread-local panel. The per-tile accumulation order
-/// never depends on the thread count, so results are bit-identical from
-/// 1 thread to N.
-void gemm_core(Operand a, Operand b, MatrixView c, std::size_t m,
-               std::size_t n, std::size_t k, float alpha, float beta,
-               Epilogue epilogue, int threads) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    scale_epilogue_only(c, beta, epilogue, threads);
-    return;
-  }
-  float* const bp = thread_b_panel();
-  float* const cdata = c.data();
-  const std::size_t ldc = c.ld();
-  const auto num_mblocks = static_cast<std::int64_t>((m + kMc - 1) / kMc);
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    for (std::size_t kc0 = 0; kc0 < k; kc0 += kKc) {
-      const std::size_t kc = std::min(kKc, k - kc0);
-      pack_b(bp, b, kc0, jc, kc, nc);
-      // First K-block applies the caller's beta; later blocks accumulate.
-      const float beta_eff = kc0 == 0 ? beta : 1.0f;
-      // The ReLU clamp is only valid once the sum over K is complete.
-      const bool relu = (kc0 + kKc >= k) && epilogue == Epilogue::kRelu;
-      util::parallel_for(num_mblocks, threads, [&](std::int64_t blk) {
-        const std::size_t i0 = static_cast<std::size_t>(blk) * kMc;
-        const std::size_t mc = std::min(kMc, m - i0);
-        float* ap = thread_a_panel();
-        pack_a(ap, a, i0, kc0, mc, kc);
-        for (std::size_t jr = 0; jr < nc; jr += kNr) {
-          const float* bps = bp + (jr / kNr) * (kNr * kc);
-          const std::size_t nr = std::min(kNr, nc - jr);
-          for (std::size_t ir = 0; ir < mc; ir += kMr) {
-            const std::size_t mr = std::min(kMr, mc - ir);
-            micro_kernel(ap + (ir / kMr) * (kMr * kc), bps, kc,
-                         cdata + (i0 + ir) * ldc + jc + jr, ldc, mr, nr,
-                         alpha, beta_eff, relu);
-          }
-        }
-      });
-    }
-  }
-}
-
 }  // namespace
 
 void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
@@ -327,8 +50,8 @@ void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
       static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
       static_cast<std::int64_t>(n), beta != 0.0f);
   GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
-  gemm_core({a.data(), a.ld(), false}, {b.data(), b.ld(), false}, c, m, n, k,
-            alpha, beta, epilogue, threads);
+  kernel::packed_gemm({a.data(), a.ld(), false}, {b.data(), b.ld(), false}, c, m,
+                      n, k, alpha, beta, epilogue, threads);
 }
 
 void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
@@ -340,8 +63,8 @@ void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
       static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
       static_cast<std::int64_t>(n), beta != 0.0f);
   GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
-  gemm_core({a.data(), a.ld(), true}, {b.data(), b.ld(), false}, c, m, n, k,
-            alpha, beta, epilogue, threads);
+  kernel::packed_gemm({a.data(), a.ld(), true}, {b.data(), b.ld(), false}, c, m,
+                      n, k, alpha, beta, epilogue, threads);
 }
 
 void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
@@ -353,8 +76,8 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
       static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
       static_cast<std::int64_t>(n), beta != 0.0f);
   GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
-  gemm_core({a.data(), a.ld(), false}, {b.data(), b.ld(), true}, c, m, n, k,
-            alpha, beta, epilogue, threads);
+  kernel::packed_gemm({a.data(), a.ld(), false}, {b.data(), b.ld(), true}, c, m,
+                      n, k, alpha, beta, epilogue, threads);
 }
 
 // ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float alpha = 1.0f, float beta = 0.0f, int threads = 0,
              Epilogue epilogue = Epilogue::kNone);
 
+/// The register tile the three kernels above run, chosen once per process
+/// from the build and the CPU: "avx512-12x32" (AVX-512F usable),
+/// "avx2-6x16" (GSGCN_AVX2 build) or "scalar". Results are bit-identical
+/// between the two vector tiles.
+const char* gemm_kernel_name();
+
+/// Peak single-precision flops per core cycle of that kernel's ISA, the
+/// default of obs::MachineInfo::peak_flops_per_cycle.
+double gemm_peak_flops_per_cycle();
+
 /// The pre-packing rank-1-update/dot kernels the packed GEMM replaced.
 /// Kept as the baseline side of the bench_kernels packed-vs-legacy
 /// comparison (and as an independent implementation for property tests);

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include "gcn/adam.hpp"
 #include "gcn/loss.hpp"
@@ -110,6 +114,122 @@ TEST(Loss, DispatchByMode) {
 TEST(Loss, EmptyThrows) {
   Matrix z, y, dz;
   EXPECT_THROW(sigmoid_bce_loss(z, y, dz), std::invalid_argument);
+}
+
+// ---- Row-blocked parallel losses: the loss and d_logits must be the same
+// bits at every thread count, and d_logits the same bits as the plain
+// serial per-element formulas below.
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// 200 rows (three 64-row blocks plus a partial one) × 13 classes; logits
+/// of both signs including ±0, multi-hot or one-hot labels, and positive
+/// row weights.
+struct LossInputs {
+  Matrix z, y_multi, y_one;
+  std::vector<float> w;
+  LossInputs() {
+    constexpr std::size_t kRows = 200, kCols = 13;
+    util::Xoshiro256 rng(31);
+    z = Matrix::gaussian(kRows, kCols, 3.0f, rng);
+    z(0, 0) = 0.0f;
+    z(0, 1) = -0.0f;
+    y_multi = Matrix(kRows, kCols);
+    y_one = Matrix(kRows, kCols);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t j = 0; j < kCols; ++j) {
+        y_multi(i, j) = rng.below(2) ? 1.0f : 0.0f;
+      }
+      y_one(i, rng.below(kCols)) = 1.0f;
+      w.push_back(0.25f + static_cast<float>(rng.below(100)) / 25.0f);
+    }
+  }
+};
+
+/// Serial reference gradients: the per-element formulas, one cell at a
+/// time (wi = 1 for the unweighted losses).
+Matrix serial_bce_grad(const Matrix& z, const Matrix& y,
+                       const std::vector<float>* w) {
+  Matrix dz(z.rows(), z.cols());
+  const double inv = 1.0 / static_cast<double>(z.size());
+  for (std::size_t i = 0; i < z.rows(); ++i) {
+    for (std::size_t j = 0; j < z.cols(); ++j) {
+      const double zj = z(i, j);
+      const double yj = y(i, j);
+      const double sig = 1.0 / (1.0 + std::exp(-zj));
+      dz(i, j) = w ? static_cast<float>((*w)[i] * (sig - yj) * inv)
+                   : static_cast<float>((sig - yj) * inv);
+    }
+  }
+  return dz;
+}
+
+Matrix serial_softmax_grad(const Matrix& z, const Matrix& y,
+                           const std::vector<float>* w) {
+  Matrix dz(z.rows(), z.cols());
+  const double inv = 1.0 / static_cast<double>(z.rows());
+  for (std::size_t i = 0; i < z.rows(); ++i) {
+    double zmax = z(i, 0);
+    for (std::size_t j = 1; j < z.cols(); ++j) {
+      zmax = std::max(zmax, static_cast<double>(z(i, j)));
+    }
+    double sum = 0.0;
+    for (std::size_t j = 0; j < z.cols(); ++j) sum += std::exp(z(i, j) - zmax);
+    const double log_sum = std::log(sum) + zmax;
+    for (std::size_t j = 0; j < z.cols(); ++j) {
+      const double p = std::exp(z(i, j) - log_sum);
+      dz(i, j) = w ? static_cast<float>((*w)[i] * (p - y(i, j)) * inv)
+                   : static_cast<float>((p - y(i, j)) * inv);
+    }
+  }
+  return dz;
+}
+
+TEST(Loss, BitIdenticalAcrossThreadsAndToSerialFormula) {
+  const LossInputs in;
+  using LossFn = std::function<float(Matrix&, int)>;
+  struct Case {
+    const char* name;
+    LossFn loss;
+    Matrix expect_grad;
+  };
+  const std::vector<Case> cases = {
+      {"bce",
+       [&](Matrix& dz, int p) {
+         return sigmoid_bce_loss(in.z, in.y_multi, dz, p);
+       },
+       serial_bce_grad(in.z, in.y_multi, nullptr)},
+      {"bce_weighted",
+       [&](Matrix& dz, int p) {
+         return sigmoid_bce_loss_weighted(in.z, in.y_multi, in.w, dz, p);
+       },
+       serial_bce_grad(in.z, in.y_multi, &in.w)},
+      {"softmax",
+       [&](Matrix& dz, int p) {
+         return softmax_ce_loss(in.z, in.y_one, dz, p);
+       },
+       serial_softmax_grad(in.z, in.y_one, nullptr)},
+      {"softmax_weighted",
+       [&](Matrix& dz, int p) {
+         return softmax_ce_loss_weighted(in.z, in.y_one, in.w, dz, p);
+       },
+       serial_softmax_grad(in.z, in.y_one, &in.w)},
+  };
+  for (const Case& c : cases) {
+    Matrix dz1(in.z.rows(), in.z.cols());
+    const float loss1 = c.loss(dz1, 1);
+    EXPECT_TRUE(same_bits(dz1, c.expect_grad)) << c.name;
+    for (const int threads : {2, 4}) {
+      Matrix dz(in.z.rows(), in.z.cols());
+      const float loss = c.loss(dz, threads);
+      EXPECT_EQ(std::memcmp(&loss, &loss1, sizeof(float)), 0)
+          << c.name << " p=" << threads;
+      EXPECT_TRUE(same_bits(dz, dz1)) << c.name << " p=" << threads;
+    }
+  }
 }
 
 TEST(Predict, SingleLabelArgmax) {

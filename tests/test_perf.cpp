@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "obs/roofline.hpp"
+#include "tensor/gemm.hpp"
 #include "util/json_writer.hpp"
 
 namespace gsgcn {
@@ -194,6 +196,24 @@ TEST(Machine, ProbeYieldsPlausibleHost) {
   EXPECT_TRUE(util::json_valid(json));
   EXPECT_NE(json.find("\"hostname\""), std::string::npos);
   EXPECT_NE(json.find("\"peak_flops_per_cycle\""), std::string::npos);
+}
+
+TEST(Machine, RecordsTheGemmKernelThatRuns) {
+  const obs::MachineInfo& m = obs::machine_info();
+  EXPECT_EQ(m.gemm_kernel, tensor::gemm_kernel_name());
+  if (std::getenv("GSGCN_PEAK_FLOPS_PER_CYCLE") == nullptr) {
+    EXPECT_EQ(m.peak_flops_per_cycle, tensor::gemm_peak_flops_per_cycle());
+  }
+  const std::string json = obs::machine_info_json(m);
+  EXPECT_NE(json.find("\"gemm_kernel\":\"" + m.gemm_kernel + "\""),
+            std::string::npos)
+      << json;
+#ifdef GSGCN_AVX2
+  EXPECT_TRUE(m.gemm_kernel == "avx512-12x32" || m.gemm_kernel == "avx2-6x16")
+      << m.gemm_kernel;
+#else
+  EXPECT_EQ(m.gemm_kernel, "scalar");
+#endif
 }
 
 // --------------------------------------------------------------- report --

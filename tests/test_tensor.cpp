@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -237,6 +242,117 @@ TEST(GemmProperty, TnNtBetaAccumulate) {
   gemm_nt(x, y, d, -1.0f, 2.0f, 3);
   reference::gemm_nt(x, y, dref, -1.0f, 2.0f);
   EXPECT_LT(Matrix::max_abs_diff(d, dref), 0.1f);
+}
+
+// ---- Register tiles and the strip split: every tile and every thread
+// count must produce the same bits, because the K blocking alone fixes
+// each element's summation order.
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+enum class Orient { kNN, kTN, kNT };
+
+/// Operands of one orientation at (m, k, n): a, b and a C to accumulate
+/// into, cut from fixed random pools.
+struct GemmCase {
+  Orient orient;
+  Matrix a, b, c0;
+  kernel::Operand op_a() const {
+    return {a.data(), a.cols(), orient == Orient::kTN};
+  }
+  kernel::Operand op_b() const {
+    return {b.data(), b.cols(), orient == Orient::kNT};
+  }
+};
+
+GemmCase make_case(Orient o, std::size_t m, std::size_t k, std::size_t n) {
+  GemmCase g;
+  g.orient = o;
+  g.a = o == Orient::kTN ? random_matrix(k, m, 70 + m)
+                         : random_matrix(m, k, 70 + m);
+  g.b = o == Orient::kNT ? random_matrix(n, k, 90 + n)
+                         : random_matrix(k, n, 90 + n);
+  g.c0 = random_matrix(m, n, 110);
+  return g;
+}
+
+const char* orient_name(Orient o) {
+  return o == Orient::kNN ? "nn" : o == Orient::kTN ? "tn" : "nt";
+}
+
+#ifdef GSGCN_AVX2
+TEST(GemmKernels, Avx512MatchesAvx2BitForBit) {
+  if (!kernel::avx512_usable()) {
+    GTEST_SKIP() << "CPU or OS lacks AVX-512F";
+  }
+  // (0.7, 0.3): beta·C is inexact, so an edge-tile store that rounded
+  // beta·C before adding would differ from the fused vector store.
+  constexpr float kAlphaBeta[][2] = {
+      {1.0f, 0.0f}, {1.0f, 1.0f}, {2.0f, 0.5f}, {0.7f, 0.3f}};
+  for (const Orient o : {Orient::kNN, Orient::kTN, Orient::kNT}) {
+    for (const int mi : kOddSizes) {
+      for (const int ki : kOddSizes) {
+        for (const int ni : kOddSizes) {
+          const auto m = static_cast<std::size_t>(mi);
+          const auto k = static_cast<std::size_t>(ki);
+          const auto n = static_cast<std::size_t>(ni);
+          const GemmCase g = make_case(o, m, k, n);
+          for (const auto& ab : kAlphaBeta) {
+            for (const Epilogue e : {Epilogue::kNone, Epilogue::kRelu}) {
+              Matrix c2 = g.c0, c5 = g.c0;
+              kernel::gemm_avx2(g.op_a(), g.op_b(), c2, m, n, k, ab[0], ab[1],
+                                e, 3);
+              kernel::gemm_avx512(g.op_a(), g.op_b(), c5, m, n, k, ab[0],
+                                  ab[1], e, 3);
+              ASSERT_TRUE(same_bits(c2, c5))
+                  << orient_name(o) << " " << m << "x" << k << "x" << n
+                  << " alpha=" << ab[0] << " beta=" << ab[1]
+                  << " relu=" << (e == Epilogue::kRelu);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+#endif
+
+TEST(GemmProperty, StripSplitBitIdenticalAcrossThreads) {
+  // k = 300 crosses the Kc = 256 block edge, so the beta = 1 accumulation
+  // of the second K block runs on every strip.
+  constexpr std::size_t kK = 300;
+  constexpr std::size_t kN = 37;
+  std::vector<std::pair<std::string, kernel::GemmFn>> entries = {
+      {"dispatched", kernel::packed_gemm}};
+#ifdef GSGCN_AVX2
+  entries.emplace_back("avx2", kernel::gemm_avx2);
+  if (kernel::avx512_usable()) {
+    entries.emplace_back("avx512", kernel::gemm_avx512);
+  }
+#endif
+  for (const auto& [name, gemm] : entries) {
+    for (const Orient o : {Orient::kNN, Orient::kTN, Orient::kNT}) {
+      for (const std::size_t m : {1, 5, 7, 13, 64, 128, 200}) {
+        const GemmCase g = make_case(o, m, kK, kN);
+        Matrix first;
+        for (const int threads : {1, 2, 3, 4}) {
+          Matrix c = g.c0;
+          gemm(g.op_a(), g.op_b(), c, m, kN, kK, 1.5f, 0.5f, Epilogue::kRelu,
+               threads);
+          if (threads == 1) {
+            first = c;
+          } else {
+            ASSERT_TRUE(same_bits(c, first))
+                << name << " " << orient_name(o) << " m=" << m
+                << " p=" << threads;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- Strided views: writing GEMM outputs into column slices of a wide
