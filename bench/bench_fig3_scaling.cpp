@@ -4,7 +4,11 @@
 //   A. overall iteration speedup (sample + forward + backward + Adam)
 //   B. feature-propagation speedup
 //   C. weight-application (GEMM) speedup
-//   D. execution-time breakdown per thread count
+//   D. execution-time breakdown per thread count, from the trainer's
+//      phase ledger (obs/phase.hpp): weight application (gemm +
+//      elementwise), feature propagation (spmm), sampling (pool pop,
+//      which runs the sampler inline in sync mode), the other ledger ops
+//      (gather, loss, update) and the unattributed remainder
 //
 // The paper sweeps 1..40 Xeon cores at hidden = 512 and 1024; the sweep
 // here covers GSGCN_MAX_THREADS and hidden = {128, 256} by default (the
@@ -32,10 +36,12 @@ std::vector<int> hidden_dims() {
 }
 
 struct Phases {
-  double total;
-  double sample;
-  double featprop;
-  double weight;
+  double total;         // kept-epoch wall time
+  double sample;        // pop
+  double featprop;      // spmm
+  double weight;        // gemm + elementwise
+  double other;         // gather + loss + update
+  double unattributed;  // total minus the ledger
 };
 
 /// Run a fixed number of training iterations at `threads`, return phase
@@ -53,18 +59,26 @@ Phases run(const data::Dataset& ds, int hidden, int threads, int iterations) {
   gcn::Trainer trainer(ds, cfg);
   // One epoch = |V_train|/budget iterations; repeat epochs until we have
   // at least `iterations` weight updates.
-  gcn::TrainResult total{};
-  while (total.iterations < iterations) {
+  std::int64_t iters = 0;
+  double wall = 0.0;
+  double unattributed = 0.0;
+  obs::Ledger ledger;
+  while (iters < iterations) {
     const gcn::TrainResult r = trainer.train();
-    total.iterations += r.iterations;
-    total.train_seconds += r.train_seconds;
-    total.sample_seconds += r.sample_seconds;
-    total.featprop_seconds += r.featprop_seconds;
-    total.weight_seconds += r.weight_seconds;
+    iters += r.iterations;
+    wall += r.train_seconds + r.sampler_wait_seconds;
+    unattributed += r.unattributed_seconds;
+    ledger += r.phases;
   }
-  const double n = static_cast<double>(total.iterations);
-  return {total.train_seconds / n, total.sample_seconds / n,
-          total.featprop_seconds / n, total.weight_seconds / n};
+  const double n = static_cast<double>(iters);
+  using obs::Op;
+  return {wall / n,
+          ledger.op_seconds(Op::kPop) / n,
+          ledger.op_seconds(Op::kSpmm) / n,
+          (ledger.op_seconds(Op::kGemm) + ledger.op_seconds(Op::kElementwise)) / n,
+          (ledger.op_seconds(Op::kGather) + ledger.op_seconds(Op::kLoss) +
+           ledger.op_seconds(Op::kUpdate)) / n,
+          unattributed / n};
 }
 
 }  // namespace
@@ -82,16 +96,14 @@ int main() {
       const Phases base = run(ds, hidden, 1, iterations);
 
       util::Table t({"threads", "iter ms", "A iter spdup", "B featprop spdup",
-                     "C weight spdup", "D breakdown w/f/s (%)"});
+                     "C weight spdup", "D breakdown w/f/s/o/u (%)"});
       for (const int p : threads) {
         const Phases ph = p == 1 ? base : run(ds, hidden, p, iterations);
-        const double other =
-            std::max(0.0, ph.total - ph.sample - ph.featprop - ph.weight);
-        const double denom = ph.weight + ph.featprop + ph.sample + other;
+        const auto pct = [&ph](double x) { return 100.0 * x / ph.total; };
         char breakdown[64];
-        std::snprintf(breakdown, sizeof(breakdown), "%.0f/%.0f/%.0f",
-                      100.0 * ph.weight / denom, 100.0 * ph.featprop / denom,
-                      100.0 * ph.sample / denom);
+        std::snprintf(breakdown, sizeof(breakdown), "%.0f/%.0f/%.0f/%.0f/%.1f",
+                      pct(ph.weight), pct(ph.featprop), pct(ph.sample),
+                      pct(ph.other), pct(ph.unattributed));
         t.row()
             .cell(p)
             .cell(1e3 * ph.total, 2)
@@ -107,6 +119,8 @@ int main() {
             .field("sample_seconds", ph.sample)
             .field("featprop_seconds", ph.featprop)
             .field("weight_seconds", ph.weight)
+            .field("other_seconds", ph.other)
+            .field("unattributed_seconds", ph.unattributed)
             .field("iter_speedup", base.total / ph.total);
       }
       t.print("Figure 3 — " + name + ", hidden=" + std::to_string(hidden) +

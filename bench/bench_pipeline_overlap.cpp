@@ -80,8 +80,7 @@ int main() {
       static_cast<int>(util::env_int("GSGCN_OVERLAP_ITERS", 8));
   // Per-phase hardware-counter attribution rides along in the JSON
   // records (measured where the PMU allows, wall-clock + work models
-  // otherwise — obs/perf.hpp). In builds without GSGCN_OBS the regions
-  // compile out and the perf_* fields are all zero.
+  // otherwise — obs/perf.hpp), from the trainer's phase scopes.
   obs::PerfProfiler::instance().enable();
   const data::Dataset ds = data::make_preset("ppi-s");
 
@@ -119,7 +118,7 @@ int main() {
           .field("async_speedup",
                  async ? sync_run.wall_seconds / r.wall_seconds : 1.0);
       const obs::PhasePerf gemm = find_phase(r.phases, "gemm");
-      const obs::PhasePerf prop = find_phase(r.phases, "propagate");
+      const obs::PhasePerf prop = find_phase(r.phases, "spmm");
       json.record("overlap_perf")
           .field("threads", p)
           .field("async", async)

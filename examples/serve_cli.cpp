@@ -25,6 +25,7 @@
 #include "data/synthetic.hpp"
 #include "gcn/adam.hpp"
 #include "graph/reorder.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "util/cli.hpp"
@@ -194,22 +195,24 @@ int main(int argc, char** argv) {
     if (watcher) watcher->stop();
     g_server = nullptr;
 
-    const serve::ServerStats& st = server.stats();
+    // The server's outcome counters (serve.*); one that never fired was
+    // never registered and reads as zero.
+    const obs::MetricsSnapshot snap = obs::Registry::instance().scrape();
+    const auto count = [&snap](const std::string& name) -> long long {
+      for (const auto& [n, v] : snap.counters) {
+        if (n == "serve." + name) return static_cast<long long>(v);
+      }
+      return 0;
+    };
     std::printf(
-        "drained: %llu conns, %llu requests, %llu ok, %llu shed "
-        "(%llu full + %llu deadline), %llu bad, %llu protocol, "
-        "%llu internal, %llu reaped, %llu batches, %llu swaps\n",
-        static_cast<unsigned long long>(st.accepted.load()),
-        static_cast<unsigned long long>(st.requests.load()),
-        static_cast<unsigned long long>(st.ok_replies.load()),
-        static_cast<unsigned long long>(st.shed_total()),
-        static_cast<unsigned long long>(st.shed_queue_full.load()),
-        static_cast<unsigned long long>(st.shed_deadline.load()),
-        static_cast<unsigned long long>(st.bad_requests.load()),
-        static_cast<unsigned long long>(st.protocol_errors.load()),
-        static_cast<unsigned long long>(st.internal_errors.load()),
-        static_cast<unsigned long long>(st.idle_reaped.load()),
-        static_cast<unsigned long long>(st.batches.load()),
+        "drained: %lld conns, %lld requests, %lld ok, %lld shed "
+        "(%lld full + %lld deadline), %lld bad, %lld protocol, "
+        "%lld internal, %lld reaped, %lld batches, %llu swaps\n",
+        count("accepted"), count("requests"), count("ok_replies"),
+        count("shed_queue_full") + count("shed_deadline"),
+        count("shed_queue_full"), count("shed_deadline"),
+        count("bad_requests"), count("protocol_errors"),
+        count("internal_errors"), count("idle_reaped"), count("batches"),
         static_cast<unsigned long long>(store.swaps()));
     if (watcher) {
       std::printf("snapshots: loaded epoch %d, %llu rejected, %llu skipped\n",
@@ -222,26 +225,13 @@ int main(int argc, char** argv) {
       std::string json;
       util::JsonWriter w(&json);
       w.begin_object();
-      w.key("accepted").value(static_cast<std::int64_t>(st.accepted.load()));
-      w.key("requests").value(static_cast<std::int64_t>(st.requests.load()));
-      w.key("ok_replies")
-          .value(static_cast<std::int64_t>(st.ok_replies.load()));
-      w.key("pings").value(static_cast<std::int64_t>(st.pings.load()));
-      w.key("shed_queue_full")
-          .value(static_cast<std::int64_t>(st.shed_queue_full.load()));
-      w.key("shed_deadline")
-          .value(static_cast<std::int64_t>(st.shed_deadline.load()));
-      w.key("bad_requests")
-          .value(static_cast<std::int64_t>(st.bad_requests.load()));
-      w.key("protocol_errors")
-          .value(static_cast<std::int64_t>(st.protocol_errors.load()));
-      w.key("internal_errors")
-          .value(static_cast<std::int64_t>(st.internal_errors.load()));
-      w.key("rejected_shutdown")
-          .value(static_cast<std::int64_t>(st.rejected_shutdown.load()));
-      w.key("idle_reaped")
-          .value(static_cast<std::int64_t>(st.idle_reaped.load()));
-      w.key("batches").value(static_cast<std::int64_t>(st.batches.load()));
+      for (const char* name :
+           {"accepted", "requests", "ok_replies", "pings", "shed_queue_full",
+            "shed_deadline", "bad_requests", "protocol_errors",
+            "internal_errors", "rejected_shutdown", "idle_reaped",
+            "batches"}) {
+        w.key(name).value(static_cast<std::int64_t>(count(name)));
+      }
       w.key("snapshot_swaps").value(static_cast<std::int64_t>(store.swaps()));
       w.key("loaded_epoch")
           .value(watcher ? watcher->loaded_epoch() : -1);

@@ -100,10 +100,9 @@ fault tolerance:
 
 observability:
   --trace-out FILE     Chrome trace-event JSON of the whole run; open in
-                       Perfetto or chrome://tracing (spans compile in with
-                       -DGSGCN_OBS=ON, Debug, or sanitizer builds)
+                       Perfetto or chrome://tracing
   --metrics-out FILE   JSONL telemetry: one "epoch" record per epoch plus
-                       a final "run_summary" (works in every build)
+                       a final "run_summary" (phase ledger + counters)
   --metrics-every-epoch  also scrape + emit the metrics registry at each
                        epoch boundary (type "metrics" records in the
                        --metrics-out JSONL)
@@ -294,15 +293,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    if (!trace_out.empty()) {
-      if (!obs::compiled_in()) {
-        std::fprintf(stderr,
-                     "warning: --trace-out given but instrumentation is "
-                     "compiled out; the trace will be empty (rebuild with "
-                     "-DGSGCN_OBS=ON)\n");
-      }
-      obs::Tracer::instance().start(trace_out);
-    }
+    if (!trace_out.empty()) obs::Tracer::instance().start(trace_out);
     if (!metrics_out.empty() &&
         !obs::Telemetry::instance().open(metrics_out)) {
       return 1;
@@ -312,15 +303,7 @@ int main(int argc, char** argv) {
                    "warning: --metrics-every-epoch has no effect without "
                    "--metrics-out\n");
     }
-    if (!perf_out.empty()) {
-      if (!obs::compiled_in()) {
-        std::fprintf(stderr,
-                     "warning: --perf-out given but instrumentation is "
-                     "compiled out; the report will have no phases "
-                     "(rebuild with -DGSGCN_OBS=ON)\n");
-      }
-      obs::PerfProfiler::instance().enable();
-    }
+    if (!perf_out.empty()) obs::PerfProfiler::instance().enable();
 
     // Out-of-core path: map the feature file (writing it first from the
     // in-RAM features if it doesn't exist yet) and hand the trainer an

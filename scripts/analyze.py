@@ -2,11 +2,9 @@
 """Project-invariant static analyzer: determinism, checkpoint drift,
 parallel-capture discipline.
 
-This is the deep (CI) complement to the fast pre-commit heuristic
-``check_omp.py``: instead of line-regex matching it lexes every
-translation unit into a token stream with balanced-group structure (a
-"micro-AST": tokens + matched (), [], {}, <> spans + a comment sidecar)
-and runs three project-specific checks over it. The file set comes from
+It lexes every translation unit into a token stream with balanced-group
+structure (a "micro-AST": tokens + matched (), [], {}, <> spans + a
+comment sidecar) and runs three project-specific checks over it. The file set comes from
 ``compile_commands.json`` when available (``--db``), so the analyzer sees
 exactly what the build sees; bare directories/files also work.
 
@@ -46,7 +44,7 @@ Checks (select with --check, comma-separated; default all):
   parallel-capture
       Real capture-list analysis of util::parallel_for /
       parallel_for_dynamic / parallel_for_ranges / parallel_region
-      lambdas (supersedes check_omp.py's capture heuristic): writes to
+      lambdas: writes to
       by-reference-captured state are flagged unless the target is
       region-local, the index expression involves region-local state, the
       write sits under `#pragma omp atomic/critical`, or it carries
@@ -1325,6 +1323,16 @@ def self_test():
         "  parallel_region(p, [&](int tid, int nt) {\n"
         "    // omp-safe: single writer — tid 0 only\n"
         "    sum = 1.0; });\n"
+        "}", "parallel-capture"), 0)
+    expect("capture-fixed-index-write", _run_on(
+        "void f() {\n"
+        "  parallel_for(n, p, [&](std::int64_t i) { out[0] += v[i]; });\n"
+        "}", "parallel-capture"), 1)
+    expect("capture-atomic-pragma-ok", _run_on(
+        "void f() { long total = 0;\n"
+        "  parallel_for(n, p, [&](std::int64_t i) {\n"
+        "    #pragma omp atomic\n"
+        "    total += 1; });\n"
         "}", "parallel-capture"), 0)
     expect("capture-byval-ok", _run_on(
         "void f() { int k = 3;\n"

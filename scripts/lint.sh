@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Static-analysis gate: the project-invariant analyzer (analyze.py), the
-# fast OpenMP shared-write audit (check_omp.py), and clang-tidy over every
-# TU in compile_commands.json.
+# Static-analysis gate: the project-invariant analyzer (analyze.py) and
+# clang-tidy over every TU in compile_commands.json.
 #
 # Usage: scripts/lint.sh [build-dir]
 #   build-dir: a configured build tree containing compile_commands.json
@@ -20,22 +19,13 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 status=0
 
-# --- 1. analyzer self-tests (both tools vouch for themselves first) ---
-echo "== analyzer self-tests =="
-if ! python3 "$repo_root/scripts/check_omp.py" --self-test; then
-  status=1
-fi
+# --- 1. analyzer self-test (the tool vouches for itself first) ---
+echo "== analyzer self-test =="
 if ! python3 "$repo_root/scripts/analyze.py" --self-test; then
   status=1
 fi
 
-# --- 2. OpenMP / parallel-region shared-write audit (always available) ---
-echo "== check_omp.py: auditing parallel regions in src/ =="
-if ! python3 "$repo_root/scripts/check_omp.py" "$repo_root/src"; then
-  status=1
-fi
-
-# --- 3. project-invariant analyzer (determinism, checkpoint drift,
+# --- 2. project-invariant analyzer (determinism, checkpoint drift,
 #        parallel captures); prefers the compilation database's file list
 #        when a configured build tree exists ---
 echo "== analyze.py: project invariants over src/ =="
@@ -47,7 +37,7 @@ if ! python3 "$repo_root/scripts/analyze.py" "${analyze_args[@]}"; then
   status=1
 fi
 
-# --- 4. clang-tidy over the compilation database ---
+# --- 3. clang-tidy over the compilation database ---
 tidy="$(command -v clang-tidy || true)"
 if [[ -z "$tidy" ]]; then
   echo "== clang-tidy not found; skipping (install clang-tidy to run the full gate) =="

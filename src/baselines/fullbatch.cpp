@@ -5,6 +5,7 @@
 #include "gcn/loss.hpp"
 #include "gcn/metrics.hpp"
 #include "graph/subgraph.hpp"
+#include "obs/phase.hpp"
 #include "tensor/ops.hpp"
 #include "util/timer.hpp"
 
@@ -38,20 +39,28 @@ FullBatchTrainer::FullBatchTrainer(const data::Dataset& dataset,
 
 gcn::TrainResult FullBatchTrainer::train() {
   gcn::TrainResult result;
-  gcn::PhaseClock clock;
   double train_time = 0.0;
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     util::Timer timer;
+    const obs::Ledger ledger_before = obs::thread_ledger();
     const tensor::Matrix& logits =
-        model_->forward(train_graph_, train_features_, cfg_.threads, &clock);
-    gcn::ensure_shape(d_logits_, logits.rows(), logits.cols());
-    const float loss =
-        gcn::classification_loss(ds_.mode, logits, train_labels_, d_logits_,
-                                 cfg_.threads);
-    model_->backward(train_graph_, d_logits_, cfg_.threads, &clock);
-    model_->apply_gradients(*opt_);
+        model_->forward(train_graph_, train_features_, cfg_.threads);
+    const float loss = [&] {
+      obs::PhaseScope scope(obs::Op::kLoss);
+      gcn::ensure_shape(d_logits_, logits.rows(), logits.cols());
+      return gcn::classification_loss(ds_.mode, logits, train_labels_,
+                                      d_logits_, cfg_.threads);
+    }();
+    model_->backward(train_graph_, d_logits_, cfg_.threads);
+    {
+      obs::PhaseScope scope(obs::Op::kUpdate, obs::Dir::kBackward);
+      model_->apply_gradients(*opt_);
+    }
     ++result.iterations;
     const double epoch_seconds = timer.seconds();
+    // The training step's scopes only: evaluation below runs the model
+    // too, outside the training ledger.
+    result.phases += obs::thread_ledger() - ledger_before;
     train_time += epoch_seconds;
 
     gcn::EpochRecord rec;
@@ -63,8 +72,10 @@ gcn::TrainResult FullBatchTrainer::train() {
     result.history.push_back(rec);
   }
   result.train_seconds = train_time;
-  result.featprop_seconds = clock.feature_prop.total_seconds();
-  result.weight_seconds = clock.weight_apply.total_seconds();
+  result.featprop_seconds = result.phases.op_seconds(obs::Op::kSpmm);
+  result.weight_seconds = result.phases.op_seconds(obs::Op::kGemm) +
+                          result.phases.op_seconds(obs::Op::kElementwise);
+  result.unattributed_seconds = train_time - result.phases.total_seconds();
   result.final_val_f1 = evaluate(ds_.val_vertices);
   result.final_test_f1 = evaluate(ds_.test_vertices);
   return result;

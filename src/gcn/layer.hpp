@@ -14,31 +14,21 @@
 #include "propagation/feature_partitioned.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
-#include "util/timer.hpp"
 
 namespace gsgcn::gcn {
-
-/// Per-phase timing shared by layers of one model — the Figure-3D
-/// breakdown (feature propagation vs. weight application).
-struct PhaseClock {
-  util::PhaseTimer feature_prop;
-  util::PhaseTimer weight_apply;
-  void reset() {
-    feature_prop.reset();
-    weight_apply.reset();
-  }
-};
 
 class GraphConvLayer {
  public:
   /// in_dim → 2·out_dim (self ‖ neigh). `relu` is off for pre-logit use.
   /// `aggregator` selects the neighbor-aggregation semantics (the paper
   /// uses the mean; sum and symmetric-GCN normalization are provided for
-  /// the aggregator ablation).
+  /// the aggregator ablation). `index` is the layer's position in its
+  /// model, the trace-span argument of its phase scopes.
   GraphConvLayer(std::size_t in_dim, std::size_t out_dim, bool relu,
                  util::Xoshiro256& rng,
                  propagation::AggregatorKind aggregator =
-                     propagation::AggregatorKind::kMean);
+                     propagation::AggregatorKind::kMean,
+                 int index = 0);
 
   /// Inverted dropout on the layer input while training (0 = disabled).
   void set_dropout(float rate);
@@ -51,27 +41,25 @@ class GraphConvLayer {
 
   /// Forward over the (sub)graph g. Keeps the activations needed by
   /// backward. `h_in` must stay alive until backward() returns. With
-  /// `training` set, input dropout is applied (if configured).
+  /// `training` set, input dropout is applied (if configured). The
+  /// dropout, SpMM and GEMM steps each run in an obs::PhaseScope.
   const tensor::Matrix& forward(const graph::CsrGraph& g,
                                 const tensor::Matrix& h_in, int threads,
-                                PhaseClock* clock = nullptr,
                                 bool training = false);
 
   /// Backward: consumes d(H_out), fills the weight gradients and returns
   /// d(H_in). Must follow a forward() on the same graph/input.
   const tensor::Matrix& backward(const graph::CsrGraph& g,
-                                 const tensor::Matrix& d_out, int threads,
-                                 PhaseClock* clock = nullptr);
+                                 const tensor::Matrix& d_out, int threads);
 
   /// Backward for the weights only: the same weight gradients as
   /// backward(), bit for bit, without d(H_in) — no input-gradient GEMMs,
   /// no backward SpMM, no dropout mask. Returns the concat
   /// pre-activation gradient, which backward() consumes for d(H_in). The
   /// model's first layer calls it directly, since nothing reads the
-  /// gradient of the input features. Opens no trace span of its own.
+  /// gradient of the input features.
   const tensor::Matrix& backward_weights(const tensor::Matrix& d_out,
-                                         int threads,
-                                         PhaseClock* clock = nullptr);
+                                         int threads);
 
   std::size_t in_dim() const { return w_self_.rows(); }
   std::size_t out_dim() const { return w_self_.cols(); }     // per branch
@@ -85,11 +73,13 @@ class GraphConvLayer {
   const tensor::Matrix& w_neigh() const { return w_neigh_; }
 
   bool has_relu() const { return relu_; }
+  int index() const { return index_; }
   propagation::AggregatorKind aggregator() const { return aggregator_; }
 
  private:
   bool relu_;
   propagation::AggregatorKind aggregator_;
+  int index_;
   float dropout_rate_ = 0.0f;
   util::Xoshiro256 dropout_rng_{0x5eedu};
   tensor::Matrix dropout_mask_;  // scaled keep-mask of the last forward

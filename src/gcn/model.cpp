@@ -1,10 +1,9 @@
 #include "gcn/model.hpp"
 
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "tensor/ops.hpp"
 
 namespace gsgcn::gcn {
@@ -18,7 +17,7 @@ GcnModel::GcnModel(const ModelConfig& config) : cfg_(config) {
   std::size_t width = cfg_.in_dim;
   for (int l = 0; l < cfg_.num_layers; ++l) {
     layers_.emplace_back(width, cfg_.hidden_dim, /*relu=*/true, rng,
-                         cfg_.aggregator);
+                         cfg_.aggregator, l);
     layers_.back().set_dropout(cfg_.dropout);
     width = layers_.back().output_width();
   }
@@ -30,46 +29,55 @@ GcnModel::GcnModel(const ModelConfig& config) : cfg_(config) {
 
 const tensor::Matrix& GcnModel::forward(const graph::CsrGraph& g,
                                         const tensor::Matrix& x, int threads,
-                                        PhaseClock* clock, bool training) {
+                                        bool training) {
   const tensor::Matrix* h = &x;
   for (auto& layer : layers_) {
-    h = &layer.forward(g, *h, threads, clock, training);
+    h = &layer.forward(g, *h, threads, training);
   }
   last_hidden_ = h;
-  ensure_shape(logits_, h->rows(), cfg_.num_classes);
+  const std::int64_t head = cfg_.num_layers;
   {
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
+    obs::PhaseScope scope(
+        obs::Op::kGemm, obs::Dir::kForward, head,
+        obs::gemm_work(static_cast<std::int64_t>(h->rows()),
+                       static_cast<std::int64_t>(h->cols()),
+                       static_cast<std::int64_t>(cfg_.num_classes), false));
+    ensure_shape(logits_, h->rows(), cfg_.num_classes);
     tensor::gemm_nn(*h, w_cls_, logits_, 1.0f, 0.0f, threads);
-    tensor::add_bias_rows(logits_, {b_cls_.data(), b_cls_.cols()}, threads);
   }
+  obs::PhaseScope scope(obs::Op::kElementwise, obs::Dir::kForward, head);
+  tensor::add_bias_rows(logits_, {b_cls_.data(), b_cls_.cols()}, threads);
   return logits_;
 }
 
 void GcnModel::backward(const graph::CsrGraph& g,
-                        const tensor::Matrix& d_logits, int threads,
-                        PhaseClock* clock) {
+                        const tensor::Matrix& d_logits, int threads) {
   if (last_hidden_ == nullptr) {
     throw std::logic_error("GcnModel::backward before forward");
   }
-  ensure_shape(d_hidden_, last_hidden_->rows(), last_hidden_->cols());
+  const std::int64_t head = cfg_.num_layers;
   {
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
-    tensor::gemm_tn(*last_hidden_, d_logits, d_w_cls_, 1.0f, 0.0f, threads);
+    obs::PhaseScope scope(obs::Op::kElementwise, obs::Dir::kBackward, head);
     tensor::bias_grad(d_logits, {d_b_cls_.data(), d_b_cls_.cols()});
+  }
+  {
+    const obs::Work w = obs::gemm_work(
+        static_cast<std::int64_t>(last_hidden_->cols()),
+        static_cast<std::int64_t>(d_logits.rows()),
+        static_cast<std::int64_t>(cfg_.num_classes), false);
+    obs::PhaseScope scope(obs::Op::kGemm, obs::Dir::kBackward, head,
+                          {2 * w.flops, 2 * w.bytes});
+    ensure_shape(d_hidden_, last_hidden_->rows(), last_hidden_->cols());
+    tensor::gemm_tn(*last_hidden_, d_logits, d_w_cls_, 1.0f, 0.0f, threads);
     tensor::gemm_nt(d_logits, w_cls_, d_hidden_, 1.0f, 0.0f, threads);
   }
   // Every layer but the first passes d(H_in) down; the first layer's
   // input is the feature matrix, whose gradient nothing reads.
   const tensor::Matrix* d = &d_hidden_;
   for (std::size_t l = layers_.size() - 1; l > 0; --l) {
-    d = &layers_[l].backward(g, *d, threads, clock);
+    d = &layers_[l].backward(g, *d, threads);
   }
-  {
-    GSGCN_TRACE_SPAN_ID("layer/backward", d->rows());
-    layers_.front().backward_weights(*d, threads, clock);
-  }
+  layers_.front().backward_weights(*d, threads);
   last_hidden_ = nullptr;
 }
 

@@ -31,17 +31,17 @@ class GcnModel {
 
   /// Forward over a (sub)graph; x is |V| x in_dim. Returns logits
   /// (|V| x num_classes), cached internally for backward. `training`
-  /// enables dropout.
+  /// enables dropout. Each step runs in an obs::PhaseScope; the
+  /// classifier head's scopes carry layer id num_layers.
   const tensor::Matrix& forward(const graph::CsrGraph& g,
                                 const tensor::Matrix& x, int threads = 0,
-                                PhaseClock* clock = nullptr,
                                 bool training = false);
 
   /// Backward from dL/dlogits; fills all parameter gradients. The first
   /// layer computes only its weight gradients (GraphConvLayer::
   /// backward_weights): the gradient of `x` is never formed.
   void backward(const graph::CsrGraph& g, const tensor::Matrix& d_logits,
-                int threads = 0, PhaseClock* clock = nullptr);
+                int threads = 0);
 
   /// Register every parameter with `opt` (once) …
   void attach(Adam& opt);

@@ -15,6 +15,7 @@
 #include "graph/subgraph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
+#include "obs/phase.hpp"
 #include "obs/roofline.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -99,9 +100,6 @@ Trainer::Trainer(const data::Dataset& dataset, const TrainerConfig& config,
   train_graph_ = std::move(sub.graph);
   train_orig_ = std::move(sub.orig_ids);
 
-  train_labels_ = tensor::Matrix(train_orig_.size(), ds_.num_classes());
-  tensor::gather_rows(ds_.labels, train_orig_, train_labels_);
-
   if (!external) {
     // The internal store is keyed by dataset ids like an external one, so
     // fp32 with no cache is a zero-copy view of ds_.features. Any codec or
@@ -123,17 +121,6 @@ Trainer::Trainer(const data::Dataset& dataset, const TrainerConfig& config,
       feat_store_ = std::make_unique<data::FeatureStore>(
           data::FeatureStore::build(ds_.features, fo, hot, train_orig_));
     }
-  }
-
-  // Loop-invariant truth rows for evaluate() (satellite of the gather
-  // overhaul: these were re-gathered from ds_.labels on every eval).
-  if (!ds_.val_vertices.empty()) {
-    val_truth_ = tensor::Matrix(ds_.val_vertices.size(), ds_.num_classes());
-    tensor::gather_rows(ds_.labels, ds_.val_vertices, val_truth_);
-  }
-  if (!ds_.test_vertices.empty()) {
-    test_truth_ = tensor::Matrix(ds_.test_vertices.size(), ds_.num_classes());
-    tensor::gather_rows(ds_.labels, ds_.test_vertices, test_truth_);
   }
 
   // Clamp sampler parameters to the training-graph size: budget at most
@@ -211,7 +198,6 @@ std::unique_ptr<sampling::VertexSampler> Trainer::make_sampler(
 
 TrainResult Trainer::train() {
   TrainResult result;
-  PhaseClock clock;
   pool_->reset_accounting();
 
   std::unique_ptr<CheckpointManager> mgr;
@@ -229,6 +215,10 @@ TrainResult Trainer::train() {
   int stale_epochs = 0;
   double train_time = 0.0;
   double sampler_wait = 0.0;
+  // Kept epochs' wall time and phase-ledger delta on this thread; the
+  // difference is the unattributed remainder.
+  double kept_wall = 0.0;
+  obs::Ledger kept;
   float lr = cfg_.lr;
   int epoch = 0;
   int retries_used = 0;         // shared rollback budget, whole run
@@ -325,43 +315,50 @@ TrainResult Trainer::train() {
     // inline refill time was double-counted into both train_seconds and
     // sample_seconds.
     const double wait_before = pool_->pop_wait_seconds();
+    const obs::Ledger ledger_before = obs::thread_ledger();
     double loss_sum = 0.0;
     const char* trip = nullptr;  // non-null: this epoch must be discarded
     bool lr_at_fault = false;    // divergence vs transient infra fault
     std::string trip_what;
     try {
+      // Reassigned by each pop, which frees the previous batch's
+      // subgraph inside the pop scope.
+      graph::Subgraph sub;
       for (std::int64_t it = 0; it < iters_per_epoch; ++it) {
         GSGCN_TRACE_SPAN("train/iteration");
-        graph::Subgraph sub = pool_->pop();
+        {
+          obs::PhaseScope scope(obs::Op::kPop);
+          sub = pool_->pop();
+        }
         const graph::Vid n_sub = sub.num_vertices();
         GSGCN_ASSERT(n_sub > 0, "pool produced an empty subgraph");
         GSGCN_ASSERT(sub.orig_ids.size() == n_sub,
                      "subgraph id map size disagrees with its CSR");
 
         {
-          GSGCN_TRACE_SPAN_ID("train/gather", n_sub);
           const data::FeatureStore& fstore = *feature_store();
           // The roofline work model learns the codec: a compressed row
           // reads value_bytes() per value, and every gather writes fp32.
-          const obs::Work fwork [[maybe_unused]] = obs::gather_work(
+          const obs::Work fwork = obs::gather_work(
               static_cast<std::int64_t>(n_sub),
               static_cast<std::int64_t>(in_dim_),
               static_cast<double>(fstore.value_bytes()));
-          const obs::Work lwork [[maybe_unused]] = obs::gather_work(
+          const obs::Work lwork = obs::gather_work(
               static_cast<std::int64_t>(n_sub),
               static_cast<std::int64_t>(ds_.num_classes()));
-          GSGCN_PERF_REGION_WORK("gather", fwork.flops + lwork.flops,
-                                 fwork.bytes + lwork.bytes);
+          obs::PhaseScope scope(obs::Op::kGather, obs::Dir::kForward, -1,
+                                {fwork.flops + lwork.flops,
+                                 fwork.bytes + lwork.bytes});
           ensure_shape(batch_features_, n_sub, in_dim_);
           ensure_shape(batch_labels_, n_sub, ds_.num_classes());
-          // Stores are keyed by dataset ids; translate the train-local
-          // subgraph ids through train_orig_.
+          // Stores and labels are keyed by dataset ids; translate the
+          // train-local subgraph ids through train_orig_.
           batch_ids_.resize(n_sub);
           for (graph::Vid i = 0; i < n_sub; ++i) {
             batch_ids_[i] = train_orig_[sub.orig_ids[i]];
           }
           fstore.gather(batch_ids_, batch_features_, cfg_.threads);
-          tensor::gather_rows(train_labels_, sub.orig_ids, batch_labels_,
+          tensor::gather_rows(ds_.labels, batch_ids_, batch_labels_,
                               cfg_.threads);
           if (fstore.mmapped()) {
             // Out-of-core lookahead: hint the pages behind the subgraph
@@ -379,14 +376,16 @@ TrainResult Trainer::train() {
         }
 
         const tensor::Matrix& logits = model_->forward(
-            sub.graph, batch_features_, cfg_.threads, &clock,
-            /*training=*/true);
-        GSGCN_CHECK_FINITE_RANGE(logits.data(), logits.size(),
-                                 "training logits");
-        ensure_shape(d_logits_, n_sub, ds_.num_classes());
+            sub.graph, batch_features_, cfg_.threads, /*training=*/true);
         double iter_loss = 0.0;
+        bool poisoned = false;
         {
-          GSGCN_TRACE_SPAN("train/loss");
+          // The loss phase includes the divergence guard's scan of the
+          // logits and of the loss gradient.
+          obs::PhaseScope scope(obs::Op::kLoss);
+          GSGCN_CHECK_FINITE_RANGE(logits.data(), logits.size(),
+                                   "training logits");
+          ensure_shape(d_logits_, n_sub, ds_.num_classes());
           if (saint_ != nullptr) {
             const std::vector<float> w = saint_->batch_weights(sub.orig_ids);
             iter_loss = classification_loss_weighted(
@@ -395,31 +394,32 @@ TrainResult Trainer::train() {
             iter_loss = classification_loss(ds_.mode, logits, batch_labels_,
                                             d_logits_, cfg_.threads);
           }
-        }
-        // Report-kind fault site: poisons the observed loss so tests and
-        // CI can trip the guard on demand without real numeric blowup.
-        if (util::fault_point("trainer.poison_loss")) {
-          iter_loss = std::numeric_limits<double>::quiet_NaN();
+          // Report-kind fault site: poisons the observed loss so tests and
+          // CI can trip the guard on demand without real numeric blowup.
+          if (util::fault_point("trainer.poison_loss")) {
+            iter_loss = std::numeric_limits<double>::quiet_NaN();
+          }
+          GSGCN_CHECK_FINITE_RANGE(d_logits_.data(), d_logits_.size(),
+                                   "loss gradient");
+          poisoned = cfg_.guard &&
+                     (!std::isfinite(iter_loss) ||
+                      !all_finite(logits.data(), logits.size()) ||
+                      !all_finite(d_logits_.data(), d_logits_.size()));
         }
         loss_sum += iter_loss;
-        GSGCN_CHECK_FINITE_RANGE(d_logits_.data(), d_logits_.size(),
-                                 "loss gradient");
-        if (cfg_.guard &&
-            (!std::isfinite(iter_loss) ||
-             !all_finite(logits.data(), logits.size()) ||
-             !all_finite(d_logits_.data(), d_logits_.size()))) {
+        if (poisoned) {
           // Stop before backward/apply: the optimizer must not step on
           // poisoned gradients.
           trip = "non-finite loss/logits/gradient";
           lr_at_fault = true;
           break;
         }
-        model_->backward(sub.graph, d_logits_, cfg_.threads, &clock);
+        model_->backward(sub.graph, d_logits_, cfg_.threads);
         {
-          GSGCN_TRACE_SPAN("train/adam");
-          const obs::Work work [[maybe_unused]] = obs::adam_work(
-              static_cast<std::int64_t>(model_->num_parameters()));
-          GSGCN_PERF_REGION_WORK("update", work.flops, work.bytes);
+          obs::PhaseScope scope(
+              obs::Op::kUpdate, obs::Dir::kBackward, -1,
+              obs::adam_work(
+                  static_cast<std::int64_t>(model_->num_parameters())));
           model_->apply_gradients(*opt_);
         }
         GSGCN_COUNTER_INC("train.iterations");
@@ -463,6 +463,8 @@ TrainResult Trainer::train() {
     }
 
     const double epoch_wall = epoch_timer.seconds();
+    kept += obs::thread_ledger() - ledger_before;
+    kept_wall += epoch_wall;
     const double epoch_wait = pool_->pop_wait_seconds() - wait_before;
     const double epoch_compute = std::max(0.0, epoch_wall - epoch_wait);
     train_time += epoch_compute;
@@ -525,8 +527,8 @@ TrainResult Trainer::train() {
     model_->restore_weights(best_weights);
   }
 
-  // Quiesce the producer before scraping metrics (obs scrape contract);
-  // a later train() call restarts it. Any queued subgraphs stay FIFO.
+  // Stop the producer so the pool's accounting below is read at rest; a
+  // later train() call restarts it. Any queued subgraphs stay FIFO.
   pool_->stop_async();
 
   result.train_seconds = train_time;
@@ -534,8 +536,11 @@ TrainResult Trainer::train() {
   result.sample_seconds = pool_->sampling_seconds();
   result.pool_stalls = static_cast<std::int64_t>(pool_->stalls());
   result.pool_cold_starts = static_cast<std::int64_t>(pool_->cold_starts());
-  result.featprop_seconds = clock.feature_prop.total_seconds();
-  result.weight_seconds = clock.weight_apply.total_seconds();
+  result.phases = kept;
+  result.featprop_seconds = kept.op_seconds(obs::Op::kSpmm);
+  result.weight_seconds = kept.op_seconds(obs::Op::kGemm) +
+                          kept.op_seconds(obs::Op::kElementwise);
+  result.unattributed_seconds = kept_wall - kept.total_seconds();
   if (cfg_.final_eval) {
     result.final_val_f1 = evaluate(ds_.val_vertices);
     result.final_test_f1 = evaluate(ds_.test_vertices);
@@ -566,16 +571,11 @@ void Trainer::emit_epoch_record(const EpochRecord& rec) const {
   sink.emit(line);
 }
 
-void Trainer::emit_epoch_metrics(int epoch) {
+void Trainer::emit_epoch_metrics(int epoch) const {
   obs::Telemetry& sink = obs::Telemetry::instance();
   if (!sink.enabled()) return;
-  // Registry::scrape() merges live per-thread shards, so it needs a
-  // quiescent point; in async mode the producer thread is still writing
-  // pool metrics. Pause it around the scrape — queued subgraphs stay
-  // FIFO and slot k always draws from RNG stream (seed, k), so the
-  // subgraph (and loss) sequence is unchanged.
-  const bool was_async = pool_->async_running();
-  if (was_async) pool_->stop_async();
+  // Safe while the async producer keeps writing pool metrics: shard
+  // cells are single-writer atomics.
   std::string line;
   util::JsonWriter w(&line);
   w.begin_object();
@@ -584,7 +584,6 @@ void Trainer::emit_epoch_metrics(int epoch) {
   w.key("metrics").value_raw(obs::Registry::instance().scrape().to_json());
   w.end_object();
   sink.emit(line);
-  if (was_async) pool_->start_async();
 }
 
 void Trainer::emit_run_summary(const TrainResult& result) const {
@@ -622,6 +621,8 @@ void Trainer::emit_run_summary(const TrainResult& result) const {
   w.key("sample_seconds").value(result.sample_seconds);
   w.key("featprop_seconds").value(result.featprop_seconds);
   w.key("weight_seconds").value(result.weight_seconds);
+  w.key("unattributed_seconds").value(result.unattributed_seconds);
+  w.key("phases").value_raw(result.phases.to_json());
   w.key("final_val_f1").value(result.final_val_f1);
   w.key("final_test_f1").value(result.final_test_f1);
   // Fault-tolerance accounting: all zero / -1 on a clean fresh run. The
@@ -636,11 +637,10 @@ void Trainer::emit_run_summary(const TrainResult& result) const {
   w.key("faults_injected")
       .value(static_cast<std::int64_t>(
           util::FaultInjector::instance().fired_total()));
-  // Full metrics scrape (counters/gauges/histograms) — empty collections
-  // in builds where the instrumentation macros compile out.
+  // Full metrics scrape (counters/gauges/histograms).
   w.key("metrics").value_raw(obs::Registry::instance().scrape().to_json());
   // Per-phase roofline attribution (see obs/roofline.hpp) when the PMU
-  // profiler was enabled for this run. The producer is already quiesced
+  // profiler was enabled for this run. The producer is already stopped
   // (stop_async above), so the scrape is at a quiescent point.
   obs::PerfProfiler& prof = obs::PerfProfiler::instance();
   if (prof.enabled()) {
@@ -662,22 +662,10 @@ double Trainer::evaluate(const std::vector<graph::Vid>& subset) {
   ensure_shape(eval_pred_, logits.rows(), logits.cols());
   predict(ds_.mode, logits, eval_pred_);
   ensure_shape(subset_pred_, subset.size(), logits.cols());
+  ensure_shape(subset_truth_, subset.size(), logits.cols());
   tensor::gather_rows(eval_pred_, subset, subset_pred_, cfg_.threads);
-  // The val/test truth subsets were gathered once at construction; any
-  // other subset (callers may evaluate arbitrary vertex sets) falls back
-  // to a per-call gather.
-  const tensor::Matrix* truth = nullptr;
-  if (&subset == &ds_.val_vertices && val_truth_.rows() == subset.size()) {
-    truth = &val_truth_;
-  } else if (&subset == &ds_.test_vertices &&
-             test_truth_.rows() == subset.size()) {
-    truth = &test_truth_;
-  } else {
-    ensure_shape(subset_truth_, subset.size(), logits.cols());
-    tensor::gather_rows(ds_.labels, subset, subset_truth_, cfg_.threads);
-    truth = &subset_truth_;
-  }
-  return f1_micro(subset_pred_, *truth);
+  tensor::gather_rows(ds_.labels, subset, subset_truth_, cfg_.threads);
+  return f1_micro(subset_pred_, subset_truth_);
 }
 
 }  // namespace gsgcn::gcn

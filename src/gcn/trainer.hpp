@@ -19,6 +19,7 @@
 #include "gcn/model.hpp"
 #include "gcn/inference.hpp"
 #include "gcn/saint_norm.hpp"
+#include "obs/phase.hpp"
 #include "sampling/dashboard.hpp"
 #include "sampling/frontier_naive.hpp"
 #include "sampling/pool.hpp"
@@ -93,10 +94,8 @@ struct TrainerConfig {
 
   // Scrape + emit the metrics registry (telemetry record type "metrics")
   // at every epoch boundary instead of only in the final run_summary, so
-  // long runs are inspectable mid-flight. In async mode the producer is
-  // briefly quiesced around the scrape (the obs quiescent-point
-  // contract); queued subgraphs stay FIFO so the subgraph sequence — and
-  // therefore the loss sequence — is unchanged.
+  // long runs are inspectable mid-flight. The scrape runs beside the
+  // async producer without pausing it.
   bool metrics_every_epoch = false;
 
   // Fault tolerance (gcn/checkpoint.hpp; DESIGN.md "Fault tolerance").
@@ -152,8 +151,15 @@ struct TrainResult {
                                      // (train_seconds + this = loop wall)
   double sample_seconds = 0.0;       // Figure-3D "Sampling"; producer-side
                                      // time, overlapped in async mode
-  double featprop_seconds = 0.0;     // Figure-3D "Feat Propagation"
-  double weight_seconds = 0.0;       // Figure-3D "Weight Application"
+  // Phase-ledger delta of the kept epochs on the training thread
+  // (obs/phase.hpp). Its ops plus unattributed_seconds are the kept
+  // epochs' wall time (train_seconds + sampler_wait_seconds on a fresh
+  // run); evaluation is outside the ledger.
+  obs::Ledger phases;
+  double featprop_seconds = 0.0;     // Figure-3D "Feat Propagation": spmm
+  double weight_seconds = 0.0;       // Figure-3D "Weight Application":
+                                     // gemm + elementwise
+  double unattributed_seconds = 0.0; // kept-epoch wall minus the ledger
   double final_val_f1 = 0.0;
   double final_test_f1 = 0.0;
   std::int64_t iterations = 0;
@@ -205,7 +211,7 @@ class Trainer {
 
   // Structured telemetry (obs::Telemetry JSONL); no-ops when no sink is open.
   void emit_epoch_record(const EpochRecord& rec) const;
-  void emit_epoch_metrics(int epoch);
+  void emit_epoch_metrics(int epoch) const;
   void emit_run_summary(const TrainResult& result) const;
 
   const data::Dataset& ds_;
@@ -215,15 +221,14 @@ class Trainer {
 
   graph::CsrGraph train_graph_;          // induced on the training split
   std::vector<graph::Vid> train_orig_;   // train-graph local → dataset id
-  tensor::Matrix train_labels_;
 
   // Training-gather feature source: exactly one of these is active. Both
-  // are indexed by dataset ids; batch ids are translated through
-  // train_orig_.
+  // are indexed by dataset ids, like ds_.labels; batch ids are translated
+  // through train_orig_.
   const data::FeatureStore* ext_features_ = nullptr;
   std::unique_ptr<data::FeatureStore> feat_store_;
   std::size_t in_dim_ = 0;
-  std::vector<std::uint32_t> batch_ids_;     // dataset-id gather scratch
+  std::vector<std::uint32_t> batch_ids_;     // dataset ids of the batch
   std::vector<std::uint32_t> prefetch_ids_;  // mmap lookahead scratch
 
   std::unique_ptr<GcnModel> model_;
@@ -238,11 +243,6 @@ class Trainer {
   tensor::Matrix eval_pred_;
   tensor::Matrix subset_pred_;
   tensor::Matrix subset_truth_;
-  // Hoisted evaluate() truth rows: the val/test label subsets are
-  // loop-invariant, so they are gathered once at construction instead of
-  // on every eval.
-  tensor::Matrix val_truth_;
-  tensor::Matrix test_truth_;
   InferenceScratch infer_scratch_;
 };
 

@@ -17,6 +17,26 @@ namespace {
 /// the only shared write on any obs hot path.
 std::atomic<std::uint64_t> g_gauge_clock{0};
 
+/// One shard cell: written only by the shard's owning thread (a relaxed
+/// load, an add, a relaxed store — no locked instruction), read by
+/// scrape() and written by reset() from any thread. Copyable so the cell
+/// vectors can grow; growth runs on the owner under the registry lock.
+template <typename T>
+struct Cell {
+  std::atomic<T> v;
+  explicit Cell(T init = T{}) : v(init) {}
+  Cell(const Cell& o) : v(o.get()) {}
+  Cell& operator=(const Cell& o) {
+    set(o.get());
+    return *this;
+  }
+  T get() const { return v.load(std::memory_order_relaxed); }
+  void set(T x) { v.store(x, std::memory_order_relaxed); }
+  void add(T x) { set(get() + x); }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 struct Registry::Shard {
@@ -25,17 +45,17 @@ struct Registry::Shard {
     // shard-growth time: observe() must never touch the registry's def
     // vector, whose reallocation under new registrations would race.
     std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;  // bounds.size() + 1
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
+    std::vector<Cell<std::uint64_t>> buckets;  // bounds.size() + 1
+    Cell<std::uint64_t> count;
+    Cell<double> sum;
+    Cell<double> min{kInf};
+    Cell<double> max{-kInf};
   };
   struct GaugeCell {
-    std::uint64_t stamp = 0;  // 0 = never set
-    double value = 0.0;
+    Cell<std::uint64_t> stamp;  // 0 = never set
+    Cell<double> value;
   };
-  std::vector<double> counters;
+  std::vector<Cell<double>> counters;
   std::vector<GaugeCell> gauges;
   std::vector<Hist> hists;
   // Set by ~Registry() under its lock: the owning registry is gone, so
@@ -49,17 +69,19 @@ namespace {
 
 void merge_shard_into(const Registry::Shard& from, Registry::Shard& into) {
   if (into.counters.size() < from.counters.size()) {
-    into.counters.resize(from.counters.size(), 0.0);
+    into.counters.resize(from.counters.size());
   }
   for (std::size_t i = 0; i < from.counters.size(); ++i) {
-    into.counters[i] += from.counters[i];
+    into.counters[i].add(from.counters[i].get());
   }
   if (into.gauges.size() < from.gauges.size()) {
     into.gauges.resize(from.gauges.size());
   }
   for (std::size_t i = 0; i < from.gauges.size(); ++i) {
-    if (from.gauges[i].stamp > into.gauges[i].stamp) {
-      into.gauges[i] = from.gauges[i];
+    const std::uint64_t stamp = from.gauges[i].stamp.get();
+    if (stamp > into.gauges[i].stamp.get()) {
+      into.gauges[i].stamp.set(stamp);
+      into.gauges[i].value.set(from.gauges[i].value.get());
     }
   }
   if (into.hists.size() < from.hists.size()) {
@@ -69,15 +91,15 @@ void merge_shard_into(const Registry::Shard& from, Registry::Shard& into) {
     const auto& fh = from.hists[i];
     auto& ih = into.hists[i];
     if (ih.buckets.size() < fh.buckets.size()) {
-      ih.buckets.resize(fh.buckets.size(), 0);
+      ih.buckets.resize(fh.buckets.size());
     }
     for (std::size_t b = 0; b < fh.buckets.size(); ++b) {
-      ih.buckets[b] += fh.buckets[b];
+      ih.buckets[b].add(fh.buckets[b].get());
     }
-    ih.count += fh.count;
-    ih.sum += fh.sum;
-    ih.min = std::min(ih.min, fh.min);
-    ih.max = std::max(ih.max, fh.max);
+    ih.count.add(fh.count.get());
+    ih.sum.add(fh.sum.get());
+    ih.min.set(std::min(ih.min.get(), fh.min.get()));
+    ih.max.set(std::max(ih.max.get(), fh.max.get()));
   }
 }
 
@@ -151,7 +173,7 @@ void Registry::retire_shard(Shard* s) {
 void Registry::grow_shard(Shard& s) {
   util::MutexLock lock(mu_);
   if (s.counters.size() < counter_names_.size()) {
-    s.counters.resize(counter_names_.size(), 0.0);
+    s.counters.resize(counter_names_.size());
   }
   if (s.gauges.size() < gauge_names_.size()) {
     s.gauges.resize(gauge_names_.size());
@@ -161,7 +183,7 @@ void Registry::grow_shard(Shard& s) {
     s.hists.resize(histogram_defs_.size());
     for (std::size_t i = old; i < s.hists.size(); ++i) {
       s.hists[i].bounds = histogram_defs_[i].bounds;
-      s.hists[i].buckets.assign(histogram_defs_[i].bounds.size() + 1, 0);
+      s.hists[i].buckets.resize(histogram_defs_[i].bounds.size() + 1);
     }
   }
 }
@@ -232,15 +254,15 @@ void Registry::add(int counter_handle, double v) {
   Shard& s = local_shard();
   const auto h = static_cast<std::size_t>(counter_handle);
   if (h >= s.counters.size()) grow_shard(s);
-  s.counters[h] += v;
+  s.counters[h].add(v);
 }
 
 void Registry::set(int gauge_handle, double v) {
   Shard& s = local_shard();
   const auto h = static_cast<std::size_t>(gauge_handle);
   if (h >= s.gauges.size()) grow_shard(s);
-  s.gauges[h].stamp = 1 + g_gauge_clock.fetch_add(1, std::memory_order_relaxed);
-  s.gauges[h].value = v;
+  s.gauges[h].value.set(v);
+  s.gauges[h].stamp.set(1 + g_gauge_clock.fetch_add(1, std::memory_order_relaxed));
 }
 
 void Registry::observe(int histogram_handle, double v) {
@@ -252,11 +274,11 @@ void Registry::observe(int histogram_handle, double v) {
   const std::vector<double>& bounds = hist.bounds;
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
   const auto b = static_cast<std::size_t>(it - bounds.begin());
-  hist.buckets[b] += 1;
-  hist.count += 1;
-  hist.sum += v;
-  hist.min = std::min(hist.min, v);
-  hist.max = std::max(hist.max, v);
+  hist.buckets[b].add(1);
+  hist.count.add(1);
+  hist.sum.add(v);
+  hist.min.set(std::min(hist.min.get(), v));
+  hist.max.set(std::max(hist.max.get(), v));
 }
 
 MetricsSnapshot Registry::scrape() {
@@ -268,16 +290,16 @@ MetricsSnapshot Registry::scrape() {
   MetricsSnapshot snap;
   snap.counters.reserve(counter_names_.size());
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    snap.counters.emplace_back(counter_names_[i],
-                               i < merged.counters.size() ? merged.counters[i]
-                                                          : 0.0);
+    snap.counters.emplace_back(
+        counter_names_[i],
+        i < merged.counters.size() ? merged.counters[i].get() : 0.0);
   }
   snap.gauges.reserve(gauge_names_.size());
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
     GaugeSnapshot g;
     g.name = gauge_names_[i];
-    if (i < merged.gauges.size() && merged.gauges[i].stamp != 0) {
-      g.value = merged.gauges[i].value;
+    if (i < merged.gauges.size() && merged.gauges[i].stamp.get() != 0) {
+      g.value = merged.gauges[i].value.get();
       g.ever_set = true;
     }
     snap.gauges.push_back(std::move(g));
@@ -292,12 +314,12 @@ MetricsSnapshot Registry::scrape() {
       const auto& m = merged.hists[i];
       for (std::size_t b = 0; b < m.buckets.size() && b < h.buckets.size();
            ++b) {
-        h.buckets[b] = m.buckets[b];
+        h.buckets[b] = m.buckets[b].get();
       }
-      h.count = m.count;
-      h.sum = m.sum;
-      h.min = m.min;
-      h.max = m.max;
+      h.count = m.count.get();
+      h.sum = m.sum.get();
+      h.min = m.min.get();
+      h.max = m.max.get();
     }
     snap.histograms.push_back(std::move(h));
   }
@@ -308,14 +330,14 @@ void Registry::reset() {
   util::MutexLock lock(mu_);
   retired_.reset();
   for (Shard* s : shards_) {
-    std::fill(s->counters.begin(), s->counters.end(), 0.0);
-    std::fill(s->gauges.begin(), s->gauges.end(), Shard::GaugeCell{});
+    for (auto& c : s->counters) c.set(0.0);
+    for (auto& g : s->gauges) g.stamp.set(0);
     for (auto& h : s->hists) {
-      std::fill(h.buckets.begin(), h.buckets.end(), 0);
-      h.count = 0;
-      h.sum = 0.0;
-      h.min = std::numeric_limits<double>::infinity();
-      h.max = -std::numeric_limits<double>::infinity();
+      for (auto& b : h.buckets) b.set(0);
+      h.count.set(0);
+      h.sum.set(0.0);
+      h.min.set(kInf);
+      h.max.set(-kInf);
     }
   }
 }

@@ -2,32 +2,29 @@
 // gsgcn::obs metrics registry — counters, gauges, fixed-bucket histograms.
 //
 // Design goals, in priority order:
-//   1. Zero cost when observability is compiled out: the GSGCN_COUNTER_* /
-//      GSGCN_GAUGE_* / GSGCN_HISTOGRAM_* macros below expand to
-//      static_cast<void>(0) with UNEVALUATED operands (same contract as
-//      util/check.hpp), so Release builds carry no instructions, no
-//      branches, and no string literals for instrumentation sites.
-//   2. No atomics or locks on the hot path when compiled in: counter adds
-//      and histogram observations land in a per-thread shard; gauges
-//      store a (sequence, value) pair in the same shard, stamped from one
-//      relaxed atomic clock so scrape() can pick the latest write.
-//      Shards are merged only at scrape time. A thread that exits (the
-//      TSan std::thread backend creates fresh teams per region) retires
-//      its shard into a registry-held accumulator, so nothing is lost.
+//   1. Always live, at a measured cost: the GSGCN_COUNTER_* /
+//      GSGCN_GAUGE_* / GSGCN_HISTOGRAM_* macros below are compiled into
+//      every build and evaluate their operands exactly once.
+//   2. No locks and no shared read-modify-write on the hot path: counter
+//      adds and histogram observations land in a per-thread shard whose
+//      cells are single-writer relaxed atomics (the owner loads, adds and
+//      stores; nobody else writes); gauges store a (sequence, value) pair
+//      in the same shard, stamped from one relaxed atomic clock so
+//      scrape() can pick the latest write. A thread that exits (the TSan
+//      std::thread backend creates fresh teams per region) retires its
+//      shard into a registry-held accumulator, so nothing is lost.
 //   3. Registration is name-keyed and idempotent: the macros cache the
 //      handle in a function-local static, so each site resolves its name
 //      exactly once per process.
 //
-// Scrape discipline: scrape()/reset() merge live shards without
-// synchronizing against their owner threads. Call them at quiescent
-// points only — after a parallel region has joined, at epoch/run
-// boundaries — which is where every caller in this repo sits.
+// Scrape discipline: scrape() may run while other threads add. Each cell
+// is read atomically, so a scrape sees every add that happened before it
+// and possibly some that race with it; a histogram read mid-observation
+// may count a sample in its bucket but not yet in its count. reset() is
+// for tests and tools: adds racing with it may survive it.
 //
 // Naming convention: dot-separated "<subsystem>.<metric>", e.g.
 // "pool.occupancy", "dashboard.probes" (see DESIGN.md "Observability").
-//
-// The registry classes are always compiled (tests exercise the math in
-// every build flavor); only the instrumentation macros are conditional.
 
 #include <cstdint>
 #include <limits>
@@ -39,17 +36,7 @@
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-#if defined(GSGCN_OBS_ENABLED)
-#define GSGCN_OBS_COMPILED 1
-#else
-#define GSGCN_OBS_COMPILED 0
-#endif
-
 namespace gsgcn::obs {
-
-/// True when instrumentation macros are live in this build
-/// (-DGSGCN_OBS=ON, Debug, or any sanitizer configuration).
-constexpr bool compiled_in() { return GSGCN_OBS_COMPILED != 0; }
 
 struct HistogramSnapshot {
   std::string name;
@@ -111,7 +98,7 @@ class Registry {
   void set(int gauge_handle, double v) EXCLUDES(mu_);
   void observe(int histogram_handle, double v) EXCLUDES(mu_);
 
-  // --- scrape-time (quiescent points only; see header note) ---
+  // --- scrape-time (safe while threads add; see header note) ---
   MetricsSnapshot scrape() EXCLUDES(mu_);
   void reset() EXCLUDES(mu_);
 
@@ -134,10 +121,9 @@ class Registry {
   std::vector<std::string> counter_names_ GUARDED_BY(mu_);
   std::vector<std::string> gauge_names_ GUARDED_BY(mu_);
   std::vector<HistogramDef> histogram_defs_ GUARDED_BY(mu_);
-  /// Live per-thread shards. The POINTER VECTOR is guarded by mu_; the
-  /// pointed-to shard contents are owned by their writer thread and are
-  /// only read cross-thread at documented quiescent points (scrape/reset
-  /// — see the header note), which no lock can express.
+  /// Live per-thread shards. The POINTER VECTOR is guarded by mu_, and so
+  /// is each shard's cell-vector growth; the cells themselves are
+  /// single-writer relaxed atomics, read cross-thread by scrape().
   std::vector<Shard*> shards_ GUARDED_BY(mu_);
   /// Merged shards of exited threads.
   std::unique_ptr<Shard> retired_ GUARDED_BY(mu_);
@@ -147,8 +133,6 @@ class Registry {
 };
 
 }  // namespace gsgcn::obs
-
-#if GSGCN_OBS_COMPILED
 
 #define GSGCN_COUNTER_ADD(name, v)                                        \
   do {                                                                    \
@@ -178,13 +162,3 @@ class Registry {
     ::gsgcn::obs::Registry::instance().observe(gsgcn_obs_handle,          \
                                                static_cast<double>(v));   \
   } while (false)
-
-#else
-
-// Compiled out: operands are NOT evaluated (check.hpp contract).
-#define GSGCN_COUNTER_ADD(name, v) static_cast<void>(0)
-#define GSGCN_COUNTER_INC(name) static_cast<void>(0)
-#define GSGCN_GAUGE_SET(name, v) static_cast<void>(0)
-#define GSGCN_HISTOGRAM_OBSERVE(name, v, ...) static_cast<void>(0)
-
-#endif  // GSGCN_OBS_COMPILED

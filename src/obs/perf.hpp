@@ -1,9 +1,9 @@
 #pragma once
 // gsgcn::obs hardware-counter (PMU) profiling.
 //
-// Wraps perf_event_open(2) counter groups behind an RAII PerfRegion that
-// composes with the GSGCN_TRACE_SPAN sites: a region names one pipeline
-// phase ("sample", "gather", "propagate", "gemm", "update"), optionally
+// Wraps perf_event_open(2) counter groups behind an RAII PerfRegion: a
+// region names one pipeline phase (an obs::PhaseScope op — "gather",
+// "spmm", "gemm", ... — or the pool's "sample"), optionally
 // carries a modeled work estimate (flops + bytes, see roofline.hpp), and
 // on destruction folds the measured counter deltas plus wall time into a
 // process-wide per-phase accumulator (PerfProfiler). A quiescent-point
@@ -40,17 +40,15 @@
 // the work model and are exact regardless. measured GB/s (LLC misses x
 // 64B / wall) inherits the per-thread caveat.
 //
-// Macro contract: GSGCN_PERF_REGION* compiles to nothing (operands
-// unevaluated) unless GSGCN_OBS_ENABLED, like the metrics/trace macros;
-// the classes themselves are always compiled so every build flavor can
-// test them. Regions are additionally gated at runtime: when the
+// Regions are compiled into every build and gated at run time: when the
 // profiler is disabled (the default) a region costs one relaxed atomic
-// load.
+// load. Training phases open their regions through obs::PhaseScope
+// (obs/phase.hpp).
 //
 // Concurrency contract: PerfRegion is safe on any thread; the per-phase
 // fold takes a mutex but regions are per-iteration, not per-element, so
-// the lock is cold. enable()/disable()/reset()/scrape() follow the
-// Registry::scrape() quiescent-point discipline.
+// the lock is cold. enable()/disable()/reset()/scrape() belong at
+// quiescent points (after parallel work has joined).
 
 #include <array>
 #include <cstdint>
@@ -159,7 +157,7 @@ class PerfProfiler {
   void reset();
 
   /// Copy of every phase, in first-recorded order (quiescent points
-  /// only — same discipline as Registry::scrape()).
+  /// only).
   std::vector<PhasePerf> scrape();
 
   /// Fold one measured region. Internal API used by PerfRegion and the
@@ -199,26 +197,3 @@ class PerfRegion {
 };
 
 }  // namespace gsgcn::obs
-
-#if defined(GSGCN_OBS_ENABLED)
-
-#if !defined(GSGCN_OBS_CONCAT)
-#define GSGCN_OBS_CONCAT_INNER(a, b) a##b
-#define GSGCN_OBS_CONCAT(a, b) GSGCN_OBS_CONCAT_INNER(a, b)
-#endif
-
-#define GSGCN_PERF_REGION(phase) \
-  ::gsgcn::obs::PerfRegion GSGCN_OBS_CONCAT(gsgcn_perf_region_, \
-                                            __LINE__)(phase)
-#define GSGCN_PERF_REGION_WORK(phase, flops, bytes)             \
-  ::gsgcn::obs::PerfRegion GSGCN_OBS_CONCAT(gsgcn_perf_region_, \
-                                            __LINE__)(          \
-      phase, static_cast<double>(flops), static_cast<double>(bytes))
-
-#else
-
-// Compiled out: operands are NOT evaluated.
-#define GSGCN_PERF_REGION(phase) static_cast<void>(0)
-#define GSGCN_PERF_REGION_WORK(phase, flops, bytes) static_cast<void>(0)
-
-#endif  // GSGCN_OBS_ENABLED

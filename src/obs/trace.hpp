@@ -10,10 +10,11 @@
 // exit) and writes a single JSON document loadable by Perfetto or
 // chrome://tracing.
 //
-// Like the metrics macros, GSGCN_TRACE_SPAN compiles to nothing unless
-// GSGCN_OBS is on (or a Debug/sanitizer build); the Span/Tracer classes
-// themselves are always available, so tests and tools can drive them in
-// any build flavor.
+// Spans are compiled into every build and gated at run time: until
+// start() (train_cli --trace-out) a span costs one atomic load. Phases
+// of a training iteration are timed through obs::PhaseScope
+// (obs/phase.hpp), which records its span here; GSGCN_TRACE_SPAN is for
+// span-only intervals (epochs, iterations, kernel calls, pool refills).
 //
 // Span names are slash-separated "<subsystem>/<operation>" string
 // LITERALS (or pointers outliving the trace): the span stores the
@@ -30,8 +31,7 @@
 // Concurrency contract: start()/stop() are mutex-protected against each
 // other, and spans on any thread are safe while active. stop() merges
 // live thread buffers without synchronizing against in-flight spans, so
-// call it only after parallel work has joined (end of run) — the same
-// quiescent-point discipline as Registry::scrape().
+// call it only after parallel work has joined (end of run).
 
 #include <cstdint>
 #include <string>
@@ -101,26 +101,15 @@ class Span {
 
 }  // namespace gsgcn::obs
 
-#if defined(GSGCN_OBS_ENABLED)
-
-#define GSGCN_OBS_CONCAT_INNER(a, b) a##b
-#define GSGCN_OBS_CONCAT(a, b) GSGCN_OBS_CONCAT_INNER(a, b)
+#define GSGCN_TRACE_CONCAT_INNER(a, b) a##b
+#define GSGCN_TRACE_CONCAT(a, b) GSGCN_TRACE_CONCAT_INNER(a, b)
 
 #define GSGCN_TRACE_SPAN(name) \
-  ::gsgcn::obs::Span GSGCN_OBS_CONCAT(gsgcn_trace_span_, __LINE__)(name)
+  ::gsgcn::obs::Span GSGCN_TRACE_CONCAT(gsgcn_trace_span_, __LINE__)(name)
 #define GSGCN_TRACE_SPAN_ID(name, id)                            \
-  ::gsgcn::obs::Span GSGCN_OBS_CONCAT(gsgcn_trace_span_,         \
+  ::gsgcn::obs::Span GSGCN_TRACE_CONCAT(gsgcn_trace_span_,         \
                                       __LINE__)(name,            \
                                                 static_cast<std::int64_t>(id))
 #define GSGCN_TRACE_COUNTER(name, value)       \
   ::gsgcn::obs::Tracer::instance().counter(    \
       name, static_cast<double>(value))
-
-#else
-
-// Compiled out: operands are NOT evaluated.
-#define GSGCN_TRACE_SPAN(name) static_cast<void>(0)
-#define GSGCN_TRACE_SPAN_ID(name, id) static_cast<void>(0)
-#define GSGCN_TRACE_COUNTER(name, value) static_cast<void>(0)
-
-#endif  // GSGCN_OBS_ENABLED

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/perf.hpp"
-#include "obs/roofline.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -140,11 +138,6 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
       q >= 1 && static_cast<std::size_t>(q) <= std::max<std::size_t>(f, 1),
       "feature partition count out of range");
   GSGCN_TRACE_SPAN_ID("featprop/forward", q);
-  const obs::Work work [[maybe_unused]] = obs::spmm_work(
-      static_cast<std::int64_t>(g.num_vertices()),
-      static_cast<std::int64_t>(g.num_edges()),
-      static_cast<std::int64_t>(f));
-  GSGCN_PERF_REGION_WORK("propagate", work.flops, work.bytes);
   util::parallel_for(q, c, [&](std::int64_t i) {
     const Slice s = feature_slice(f, q, static_cast<int>(i));
     tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out, 0,
@@ -169,11 +162,6 @@ int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
       q >= 1 && static_cast<std::size_t>(q) <= std::max<std::size_t>(f, 1),
       "feature partition count out of range");
   GSGCN_TRACE_SPAN_ID("featprop/backward", q);
-  const obs::Work work [[maybe_unused]] = obs::spmm_work(
-      static_cast<std::int64_t>(g.num_vertices()),
-      static_cast<std::int64_t>(g.num_edges()),
-      static_cast<std::int64_t>(f));
-  GSGCN_PERF_REGION_WORK("propagate", work.flops, work.bytes);
   util::parallel_for(q, c, [&](std::int64_t i) {
     const Slice s = feature_slice(f, q, static_cast<int>(i));
     tiled::aggregate_rows(g, opts.aggregator, /*backward=*/true, d_out, d_in,

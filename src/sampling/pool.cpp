@@ -50,8 +50,9 @@ std::vector<graph::Subgraph> SubgraphPool::produce_batch(
     std::uint64_t slot_base) {
   GSGCN_TRACE_SPAN("pool/refill");
   // No work model: sampling is control-flow-bound, so only wall time and
-  // counter ratios (IPC, miss rate) are meaningful for this phase.
-  GSGCN_PERF_REGION("sample");
+  // counter ratios (IPC, miss rate) are meaningful for this phase. Not a
+  // ledger scope: in sync mode a refill runs inside the trainer's pop.
+  const obs::PerfRegion perf("sample");
   const util::Timer batch_timer;
   const int p = p_inter();
   std::vector<graph::Subgraph> batch(static_cast<std::size_t>(p));

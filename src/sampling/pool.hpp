@@ -116,8 +116,7 @@ class SubgraphPool {
   /// Stop and join the producer. An in-flight batch is appended first,
   /// so the slot sequence has no holes; queued subgraphs stay poppable
   /// and later pops continue the sequence with inline refills. Called by
-  /// the trainer before scraping metrics (obs quiescent-point contract)
-  /// and by the destructor.
+  /// the trainer at the end of train() and by the destructor.
   void stop_async() EXCLUDES(lifecycle_mu_, mu_);
 
   /// True while the producer thread is accepting work.

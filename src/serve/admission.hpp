@@ -79,7 +79,7 @@ class AdmissionQueue {
   bool closed() const EXCLUDES(mu_);
   std::size_t capacity() const { return capacity_; }
 
-  /// Lifetime shed/admit counters (monotone, scraped by ServerStats).
+  /// Lifetime shed/admit counters (monotone).
   std::uint64_t admitted_total() const EXCLUDES(mu_);
   std::uint64_t rejected_full_total() const EXCLUDES(mu_);
 

@@ -207,7 +207,6 @@ void Server::accept_ready() {
       continue;  // Conn destructor closes the fd
     }
     conns_.emplace(id, std::move(conn));
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
     GSGCN_COUNTER_INC("serve.accepted");
   }
 }
@@ -246,8 +245,7 @@ bool Server::conn_readable(std::uint64_t id) {
     if (st != util::FrameStatus::kOk) {
       // Garbage on the wire: answer once, then close. Never crash, never
       // guess at a resync point inside a corrupt stream.
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      GSGCN_COUNTER_INC("serve.protocol_error");
+      GSGCN_COUNTER_INC("serve.protocol_errors");
       conn.closing = true;
       return send_frame(id, make_error_frame(Status::kBadRequest,
                                              std::string("bad frame: ") +
@@ -270,16 +268,14 @@ bool Server::handle_payload(std::uint64_t id, const std::string& payload) {
   Request req;
   std::string err;
   if (!decode_request(payload, req, err)) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    GSGCN_COUNTER_INC("serve.protocol_error");
+    GSGCN_COUNTER_INC("serve.protocol_errors");
     conn.closing = true;
     return send_frame(id, make_error_frame(Status::kBadRequest, err));
   }
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  GSGCN_COUNTER_INC("serve.request");
+  GSGCN_COUNTER_INC("serve.requests");
 
   if (req.op == Op::kPing) {
-    stats_.pings.fetch_add(1, std::memory_order_relaxed);
+    GSGCN_COUNTER_INC("serve.pings");
     Response resp;
     resp.request_id = req.request_id;
     resp.snapshot_seq = store_.current()->seq;
@@ -305,8 +301,7 @@ bool Server::handle_payload(std::uint64_t id, const std::string& payload) {
       ++total_inflight_;
       return true;
     case Admit::kQueueFull: {
-      stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-      GSGCN_COUNTER_INC("serve.shed");
+      GSGCN_COUNTER_INC("serve.shed_queue_full");
       Response resp;
       resp.status = Status::kOverloaded;
       resp.request_id = request_id;
@@ -315,7 +310,7 @@ bool Server::handle_payload(std::uint64_t id, const std::string& payload) {
                         util::frame_encode(kWireFrame, encode_response(resp)));
     }
     case Admit::kClosed: {
-      stats_.rejected_shutdown.fetch_add(1, std::memory_order_relaxed);
+      GSGCN_COUNTER_INC("serve.rejected_shutdown");
       Response resp;
       resp.status = Status::kShuttingDown;
       resp.request_id = request_id;
@@ -420,7 +415,6 @@ void Server::housekeeping() {
       if (now - conn.last_activity > limit) stale.push_back(id);
     }
     for (const std::uint64_t id : stale) {
-      stats_.idle_reaped.fetch_add(1, std::memory_order_relaxed);
       GSGCN_COUNTER_INC("serve.idle_reaped");
       close_conn(id);
     }
@@ -475,8 +469,7 @@ void Server::worker_main() {
     out.reserve(batch.size() + expired.size());
 
     for (const Ticket& t : expired) {
-      stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      GSGCN_COUNTER_INC("serve.shed");
+      GSGCN_COUNTER_INC("serve.shed_deadline");
       Response resp;
       resp.status = Status::kOverloaded;
       resp.request_id = t.request.request_id;
@@ -502,19 +495,18 @@ void Server::worker_main() {
           responses.push_back(std::move(resp));
         }
       }
-      stats_.batches.fetch_add(1, std::memory_order_relaxed);
+      GSGCN_COUNTER_INC("serve.batches");
       for (std::size_t i = 0; i < responses.size(); ++i) {
         const Response& resp = responses[i];
         switch (resp.status) {
           case Status::kOk:
-            stats_.ok_replies.fetch_add(1, std::memory_order_relaxed);
+            GSGCN_COUNTER_INC("serve.ok_replies");
             break;
           case Status::kBadRequest:
-            stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
+            GSGCN_COUNTER_INC("serve.bad_requests");
             break;
           case Status::kInternalError:
-            stats_.internal_errors.fetch_add(1, std::memory_order_relaxed);
-            GSGCN_COUNTER_INC("serve.internal_error");
+            GSGCN_COUNTER_INC("serve.internal_errors");
             break;
           default:
             break;

@@ -28,6 +28,12 @@
 // a hang. Idle or stuck-writing connections are reaped on a timeout.
 // SIGTERM (request_shutdown — async-signal-safe) drains: admitted work is
 // answered, new work gets SHUTTING_DOWN, then the loop exits cleanly.
+//
+// Accounting: every outcome bumps one process-wide obs counter —
+// serve.accepted, .requests, .ok_replies, .pings, .shed_queue_full,
+// .shed_deadline, .bad_requests, .protocol_errors, .internal_errors,
+// .rejected_shutdown, .idle_reaped, .batches — readable at any time with
+// obs::Registry::instance().scrape().
 
 #include <atomic>
 #include <cstdint>
@@ -58,27 +64,6 @@ struct ServerOptions {
   double batch_window_ms = 2.0;
   double idle_timeout_ms = 30000.0;    // reap conns with no IO progress
   std::uint32_t default_deadline_ms = 1000;  // 0 = requests never expire
-};
-
-/// Always-live counters (plain atomics — the obs macros compile out in
-/// Release, but CI smoke checks and tests need these unconditionally).
-struct ServerStats {
-  std::atomic<std::uint64_t> accepted{0};        // connections accepted
-  std::atomic<std::uint64_t> requests{0};        // well-formed requests
-  std::atomic<std::uint64_t> ok_replies{0};
-  std::atomic<std::uint64_t> pings{0};
-  std::atomic<std::uint64_t> shed_queue_full{0};
-  std::atomic<std::uint64_t> shed_deadline{0};
-  std::atomic<std::uint64_t> bad_requests{0};    // decode ok, content bad
-  std::atomic<std::uint64_t> protocol_errors{0}; // frame/payload rejects
-  std::atomic<std::uint64_t> internal_errors{0};
-  std::atomic<std::uint64_t> rejected_shutdown{0};
-  std::atomic<std::uint64_t> idle_reaped{0};
-  std::atomic<std::uint64_t> batches{0};
-
-  std::uint64_t shed_total() const {
-    return shed_queue_full.load() + shed_deadline.load();
-  }
 };
 
 class Server {
@@ -114,7 +99,6 @@ class Server {
   void wait();
 
   std::uint16_t port() const { return port_; }
-  const ServerStats& stats() const { return stats_; }
   std::size_t queue_depth() const { return queue_.depth(); }
 
  private:
@@ -164,7 +148,6 @@ class Server {
   const ServerOptions opts_;
 
   AdmissionQueue queue_;
-  ServerStats stats_;
 
   Fd listener_;
   Fd epoll_;

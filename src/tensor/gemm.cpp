@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "obs/perf.hpp"
-#include "obs/roofline.hpp"
 #include "obs/trace.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "util/parallel.hpp"
@@ -46,10 +44,6 @@ void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   check_nn(a, b, c);
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   GSGCN_TRACE_SPAN_ID("gemm/nn", 2 * m * n * k);  // args.v = flops
-  const obs::Work work [[maybe_unused]] = obs::gemm_work(
-      static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
-      static_cast<std::int64_t>(n), beta != 0.0f);
-  GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
   kernel::packed_gemm({a.data(), a.ld(), false}, {b.data(), b.ld(), false}, c, m,
                       n, k, alpha, beta, epilogue, threads);
 }
@@ -59,10 +53,6 @@ void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   check_tn(a, b, c);
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   GSGCN_TRACE_SPAN_ID("gemm/tn", 2 * m * n * k);
-  const obs::Work work [[maybe_unused]] = obs::gemm_work(
-      static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
-      static_cast<std::int64_t>(n), beta != 0.0f);
-  GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
   kernel::packed_gemm({a.data(), a.ld(), true}, {b.data(), b.ld(), false}, c, m,
                       n, k, alpha, beta, epilogue, threads);
 }
@@ -72,10 +62,6 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   check_nt(a, b, c);
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   GSGCN_TRACE_SPAN_ID("gemm/nt", 2 * m * n * k);
-  const obs::Work work [[maybe_unused]] = obs::gemm_work(
-      static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
-      static_cast<std::int64_t>(n), beta != 0.0f);
-  GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
   kernel::packed_gemm({a.data(), a.ld(), false}, {b.data(), b.ld(), true}, c, m,
                       n, k, alpha, beta, epilogue, threads);
 }

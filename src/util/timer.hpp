@@ -1,9 +1,8 @@
 #pragma once
-// Wall-clock timing for benchmarks and the trainer's phase breakdown.
+// Wall-clock timing. Phases of a training iteration are timed through
+// obs::PhaseScope (obs/phase.hpp).
 
 #include <chrono>
-
-#include "util/check.hpp"
 
 namespace gsgcn::util {
 
@@ -24,47 +23,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates time across many start/stop intervals — used for the
-/// per-phase (sampling / feature propagation / weight application)
-/// execution-time breakdown of Figure 3D.
-class PhaseTimer {
- public:
-  void start() {
-    t_.restart();
-#if GSGCN_CHECKS_ENABLED
-    running_ = true;
-#endif
-  }
-  void stop() {
-    GSGCN_ASSERT(running_, "PhaseTimer::stop() without a matching start()");
-#if GSGCN_CHECKS_ENABLED
-    running_ = false;
-#endif
-    total_ += t_.seconds();
-  }
-  double total_seconds() const { return total_; }
-  void reset() { total_ = 0.0; }
-
- private:
-  Timer t_;
-  double total_ = 0.0;
-#if GSGCN_CHECKS_ENABLED
-  bool running_ = false;
-#endif
-};
-
-/// RAII guard adding an interval to a PhaseTimer.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(PhaseTimer& t) : t_(t) { t_.start(); }
-  ~ScopedPhase() { t_.stop(); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& t_;
 };
 
 }  // namespace gsgcn::util

@@ -1,8 +1,6 @@
 // Golden fixture: parallel-capture check MUST flag both lambdas — a
 // by-reference-captured accumulator written by every team member, and a
-// fixed-index write reached through [&]. Also exercised by
-// scripts/check_omp.py (the `parallel_for_ranges` regression: older
-// versions did not audit that helper at all).
+// fixed-index write reached through [&].
 #include <cstdint>
 #include <vector>
 

@@ -7,10 +7,12 @@
 #include <cstring>
 
 #include "gcn/layer.hpp"
+#include "obs/phase.hpp"
 #include "propagation/spmm.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
+#include "util/timer.hpp"
 
 namespace gsgcn::gcn {
 namespace {
@@ -194,9 +196,9 @@ TEST(LayerDropout, EvalPathUnaffected) {
   with.set_dropout(0.5f);
   const CsrGraph g = gsgcn::testing::small_er(30, 120, 45);
   const Matrix x = Matrix::gaussian(30, 6, 1.0f, rng);
-  const Matrix& a = with.forward(g, x, 1, nullptr, /*training=*/false);
+  const Matrix& a = with.forward(g, x, 1, /*training=*/false);
   const Matrix b = a;  // copy before the second layer reuses buffers
-  const Matrix& c = without.forward(g, x, 1, nullptr, false);
+  const Matrix& c = without.forward(g, x, 1, false);
   EXPECT_EQ(Matrix::max_abs_diff(b, c), 0.0f);
 }
 
@@ -206,9 +208,9 @@ TEST(LayerDropout, TrainingPathZeroesInputs) {
   layer.set_dropout(0.5f);
   const CsrGraph g = gsgcn::testing::small_er(40, 160, 47);
   const Matrix x = Matrix::gaussian(40, 6, 1.0f, rng);
-  const Matrix& train_out = layer.forward(g, x, 1, nullptr, true);
+  const Matrix& train_out = layer.forward(g, x, 1, true);
   const Matrix t = train_out;
-  const Matrix& eval_out = layer.forward(g, x, 1, nullptr, false);
+  const Matrix& eval_out = layer.forward(g, x, 1, false);
   // With dropout active the outputs must differ from the eval path.
   EXPECT_GT(Matrix::max_abs_diff(t, eval_out), 1e-3f);
 }
@@ -222,7 +224,7 @@ TEST(LayerDropout, GradientMatchesMaskedForward) {
   const CsrGraph g = gsgcn::testing::small_er(20, 70, 49);
   const Matrix x = Matrix::gaussian(20, 5, 1.0f, rng);
   const Matrix r = Matrix::gaussian(20, 6, 1.0f, rng);
-  (void)layer.forward(g, x, 1, nullptr, true);
+  (void)layer.forward(g, x, 1, true);
   const Matrix& dx = layer.backward(g, r, 1);
   // Entries of dx where the mask dropped the input must be zero.
   int zeros = 0;
@@ -243,7 +245,7 @@ TEST(LayerDropout, DeterministicAcrossThreadCounts) {
     util::Xoshiro256 rng(52);  // identical weights + dropout RNG state
     GraphConvLayer layer(6, 4, true, rng);
     layer.set_dropout(0.4f);
-    out = layer.forward(g, x, threads, nullptr, /*training=*/true);
+    out = layer.forward(g, x, threads, /*training=*/true);
     dx = layer.backward(g, r, threads);
     dws = layer.grad_w_self();
   };
@@ -310,8 +312,8 @@ TEST(Layer, BackwardWeightsBitIdenticalToFullBackward) {
     GraphConvLayer weights_only(9, 5, true, rng_b);
     full.set_dropout(0.3f);
     weights_only.set_dropout(0.3f);
-    (void)full.forward(g, x, threads, nullptr, /*training=*/true);
-    (void)weights_only.forward(g, x, threads, nullptr, /*training=*/true);
+    (void)full.forward(g, x, threads, /*training=*/true);
+    (void)weights_only.forward(g, x, threads, /*training=*/true);
     (void)full.backward(g, d, threads);
     weights_only.backward_weights(d, threads);
     const std::size_t bytes = full.grad_w_self().size() * sizeof(float);
@@ -331,17 +333,30 @@ TEST(Layer, BackwardWeightsBeforeForwardThrows) {
   EXPECT_THROW(layer.backward_weights(d, 1), std::logic_error);
 }
 
-TEST(Layer, PhaseClockAccumulates) {
+TEST(Layer, LedgerCountsEachOpOnce) {
   util::Xoshiro256 rng(10);
   GraphConvLayer layer(6, 4, true, rng);
   const CsrGraph g = gsgcn::testing::small_er(60, 250, 11);
   const Matrix x = Matrix::gaussian(60, 6, 1.0f, rng);
-  PhaseClock clock;
-  (void)layer.forward(g, x, 1, &clock);
-  EXPECT_GT(clock.feature_prop.total_seconds(), 0.0);
-  EXPECT_GT(clock.weight_apply.total_seconds(), 0.0);
-  clock.reset();
-  EXPECT_EQ(clock.feature_prop.total_seconds(), 0.0);
+  const Matrix d_out = Matrix::gaussian(60, 8, 1.0f, rng);
+  using obs::Dir;
+  using obs::Op;
+  const obs::Ledger before = obs::thread_ledger();
+  const util::Timer wall;
+  (void)layer.forward(g, x, 1);
+  (void)layer.backward(g, d_out, 1);
+  const double wall_seconds = wall.seconds();
+  const obs::Ledger d = obs::thread_ledger() - before;
+  EXPECT_EQ(d.calls_at(Op::kSpmm, Dir::kForward), 1u);
+  EXPECT_EQ(d.calls_at(Op::kGemm, Dir::kForward), 1u);
+  EXPECT_EQ(d.calls_at(Op::kElementwise, Dir::kForward), 0u);  // no dropout
+  EXPECT_EQ(d.calls_at(Op::kGemm, Dir::kBackward), 2u);  // weight, input
+  EXPECT_EQ(d.calls_at(Op::kSpmm, Dir::kBackward), 1u);
+  EXPECT_EQ(d.calls_at(Op::kElementwise, Dir::kBackward), 2u);  // mask, add
+  EXPECT_GT(d.op_seconds(Op::kSpmm), 0.0);
+  EXPECT_GT(d.op_seconds(Op::kGemm), 0.0);
+  // Scopes do not nest, so the ledger never exceeds the wall time.
+  EXPECT_LE(d.total_seconds(), wall_seconds);
 }
 
 }  // namespace

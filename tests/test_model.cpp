@@ -161,14 +161,14 @@ TEST(Model, FirstLayerSkipsInputGradientBitExactly) {
   for (const int threads : {1, 4}) {
     GcnModel model(mc);
     Matrix dz(40, 3);
-    softmax_ce_loss(model.forward(g, x, threads, nullptr, true), y, dz);
+    softmax_ce_loss(model.forward(g, x, threads, true), y, dz);
     model.backward(g, dz, threads);
 
     // Same seed: same weights and the same dropout streams.
     GcnModel replay(mc);
     auto& layers = replay.layers();
-    const Matrix& h0 = layers[0].forward(g, x, threads, nullptr, true);
-    const Matrix& h1 = layers[1].forward(g, h0, threads, nullptr, true);
+    const Matrix& h0 = layers[0].forward(g, x, threads, true);
+    const Matrix& h1 = layers[1].forward(g, h0, threads, true);
     Matrix d_hidden(h1.rows(), h1.cols());
     tensor::gemm_nt(dz, replay.w_cls(), d_hidden, 1.0f, 0.0f, threads);
     const Matrix& d1 = layers[1].backward(g, d_hidden, threads);
@@ -286,11 +286,11 @@ TEST(Model, TrainingForwardDiffersWithDropout) {
   const CsrGraph g = gsgcn::testing::small_er(30, 100, 7);
   util::Xoshiro256 rng(8);
   const Matrix x = Matrix::gaussian(30, 6, 1.0f, rng);
-  const Matrix train_logits = m.forward(g, x, 1, nullptr, /*training=*/true);
-  const Matrix eval_logits = m.forward(g, x, 1, nullptr, /*training=*/false);
+  const Matrix train_logits = m.forward(g, x, 1, /*training=*/true);
+  const Matrix eval_logits = m.forward(g, x, 1, /*training=*/false);
   EXPECT_GT(Matrix::max_abs_diff(train_logits, eval_logits), 1e-4f);
   // Eval is deterministic.
-  const Matrix eval_again = m.forward(g, x, 1, nullptr, false);
+  const Matrix eval_again = m.forward(g, x, 1, false);
   EXPECT_EQ(Matrix::max_abs_diff(eval_logits, eval_again), 0.0f);
 }
 

@@ -3,7 +3,7 @@
 // garbage), PerfProfiler accumulation semantics (call counts, wall/work
 // sums, the pmu_samples == calls availability rule), machine probing,
 // report JSON well-formedness (unavailable counter metrics must be
-// null), and the GSGCN_PERF_REGION* compile-out contract.
+// null), and obs::PhaseScope feeding the profiler only while enabled.
 //
 // Nothing here assumes a live PMU: asserts about available == true are
 // made only on hand-constructed PerfDelta values fed straight into
@@ -21,6 +21,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
+#include "obs/phase.hpp"
 #include "obs/roofline.hpp"
 #include "tensor/gemm.hpp"
 #include "util/json_writer.hpp"
@@ -276,26 +277,27 @@ TEST(RooflineReport, WriteReportProducesValidFile) {
   EXPECT_FALSE(obs::write_roofline_report("/nonexistent-dir/x.json"));
 }
 
-// ------------------------------------------------- compile-out contract --
+// ---------------------------------------------------------- phase scope --
 
-TEST(PerfCompileOut, MacroOperandsUnevaluatedWhenDisabled) {
+TEST(PhaseScope, FeedsTheProfilerOnlyWhileEnabled) {
+  obs::perf_set_force_null(true);
   obs::PerfProfiler& prof = obs::PerfProfiler::instance();
   prof.reset();
-  int evals = 0;
-  [[maybe_unused]] auto tick = [&evals] { return static_cast<double>(++evals); };
-  {
-    GSGCN_PERF_REGION_WORK("t.macro", tick(), tick());
-  }
-  {
-    GSGCN_PERF_REGION("t.macro2");
-  }
-  if (obs::compiled_in()) {
-    EXPECT_EQ(evals, 2);  // each operand evaluated exactly once
-  } else {
-    EXPECT_EQ(evals, 0);  // compiled out: operands untouched
-  }
-  // Profiler disabled either way: nothing recorded.
+  ASSERT_FALSE(prof.enabled());
+  { obs::PhaseScope s(obs::Op::kGemm, obs::Dir::kForward, 0, {10.0, 20.0}); }
   EXPECT_TRUE(prof.scrape().empty());
+  prof.enable();
+  { obs::PhaseScope s(obs::Op::kGemm, obs::Dir::kForward, 0, {10.0, 20.0}); }
+  { obs::PhaseScope s(obs::Op::kGemm, obs::Dir::kBackward, 0, {10.0, 20.0}); }
+  prof.disable();
+  const std::vector<obs::PhasePerf> phases = prof.scrape();
+  ASSERT_EQ(phases.size(), 1u);  // one PMU phase per op, both directions
+  EXPECT_EQ(phases[0].name, "gemm");
+  EXPECT_EQ(phases[0].calls, 2u);
+  EXPECT_DOUBLE_EQ(phases[0].flops, 20.0);
+  EXPECT_DOUBLE_EQ(phases[0].bytes, 40.0);
+  prof.reset();
+  obs::perf_set_force_null(false);
 }
 
 }  // namespace
