@@ -383,8 +383,9 @@ int main(int argc, char** argv) {
       gcn::predict(ds.mode, logits, pred);
       tensor::Matrix test_pred(ds.test_vertices.size(), logits.cols());
       tensor::Matrix test_truth(ds.test_vertices.size(), logits.cols());
-      tensor::gather_rows(pred, ds.test_vertices, test_pred);
-      tensor::gather_rows(ds.labels, ds.test_vertices, test_truth);
+      tensor::gather_rows(pred, ds.test_vertices, test_pred, cfg.threads);
+      tensor::gather_rows(ds.labels, ds.test_vertices, test_truth,
+                          cfg.threads);
       std::printf("\ntest-split classification report:\n%s",
                   gcn::format_report(
                       gcn::classification_report(test_pred, test_truth))

@@ -29,8 +29,9 @@ FastGcnTrainer::FastGcnTrainer(const data::Dataset& dataset,
   train_orig_ = std::move(sub.orig_ids);
   train_features_ = tensor::Matrix(train_orig_.size(), ds_.feature_dim());
   train_labels_ = tensor::Matrix(train_orig_.size(), ds_.num_classes());
-  tensor::gather_rows(ds_.features, train_orig_, train_features_);
-  tensor::gather_rows(ds_.labels, train_orig_, train_labels_);
+  tensor::gather_rows(ds_.features, train_orig_, train_features_,
+                      cfg_.threads);
+  tensor::gather_rows(ds_.labels, train_orig_, train_labels_, cfg_.threads);
 
   // Pre-processing: degree-proportional importance distribution.
   const graph::Vid n = train_graph_.num_vertices();

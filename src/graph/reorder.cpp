@@ -5,35 +5,6 @@
 
 namespace gsgcn::graph {
 
-namespace {
-
-Reordering relabel(const CsrGraph& g, std::vector<Vid> new_to_old) {
-  const Vid n = g.num_vertices();
-  Reordering r;
-  r.new_to_old = std::move(new_to_old);
-  r.old_to_new.resize(n);
-  for (Vid new_id = 0; new_id < n; ++new_id) {
-    r.old_to_new[r.new_to_old[new_id]] = new_id;
-  }
-  std::vector<Eid> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (Vid new_id = 0; new_id < n; ++new_id) {
-    offsets[new_id + 1] =
-        offsets[new_id] + g.degree(r.new_to_old[new_id]);
-  }
-  std::vector<Vid> adj(static_cast<std::size_t>(offsets[n]));
-  for (Vid new_id = 0; new_id < n; ++new_id) {
-    Eid w = offsets[new_id];
-    for (const Vid old_nb : g.neighbors(r.new_to_old[new_id])) {
-      adj[static_cast<std::size_t>(w++)] = r.old_to_new[old_nb];
-    }
-    std::sort(adj.begin() + offsets[new_id], adj.begin() + w);
-  }
-  r.graph = CsrGraph::from_csr(std::move(offsets), std::move(adj));
-  return r;
-}
-
-}  // namespace
-
 std::vector<Vid> degree_order(const CsrGraph& g) {
   const Vid n = g.num_vertices();
   std::vector<Vid> order(n);
@@ -42,40 +13,6 @@ std::vector<Vid> degree_order(const CsrGraph& g) {
     return g.degree(a) > g.degree(b);
   });
   return order;
-}
-
-std::vector<Vid> bfs_order(const CsrGraph& g, Vid root) {
-  const Vid n = g.num_vertices();
-  std::vector<Vid> order;
-  order.reserve(n);
-  std::vector<bool> seen(n, false);
-  auto bfs_from = [&](Vid start) {
-    seen[start] = true;
-    order.push_back(start);
-    std::size_t head = order.size() - 1;
-    while (head < order.size()) {
-      const Vid u = order[head++];
-      for (const Vid v : g.neighbors(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          order.push_back(v);
-        }
-      }
-    }
-  };
-  if (n > 0) bfs_from(root < n ? root : 0);
-  for (Vid v = 0; v < n; ++v) {
-    if (!seen[v]) bfs_from(v);
-  }
-  return order;
-}
-
-Reordering reorder_by_degree(const CsrGraph& g) {
-  return relabel(g, degree_order(g));
-}
-
-Reordering reorder_by_bfs(const CsrGraph& g, Vid root) {
-  return relabel(g, bfs_order(g, root));
 }
 
 }  // namespace gsgcn::graph

@@ -1,11 +1,10 @@
 #pragma once
-// Vertex relabeling for memory locality.
+// Vertex ordering for memory locality.
 //
-// Feature propagation reads source-vertex rows in neighbor order; placing
-// high-degree vertices (the ones most frequently read) at low ids packs
-// the hot rows into a small, cache-resident region. This is the classic
-// degree-ordering optimization from the PageRank/propagation-blocking
-// literature the paper builds on ([7], [9]).
+// Feature propagation reads source-vertex rows in neighbor order; the
+// high-degree vertices are the ones read most often. Ranking them first
+// is the classic degree-ordering optimization from the
+// PageRank/propagation-blocking literature the paper builds on ([7], [9]).
 
 #include <vector>
 
@@ -13,39 +12,10 @@
 
 namespace gsgcn::graph {
 
-/// A relabeled copy of a graph with both direction maps.
-struct Reordering {
-  CsrGraph graph;                 // isomorphic to the input
-  std::vector<Vid> new_to_old;    // new id → original id
-  std::vector<Vid> old_to_new;    // original id → new id
-};
-
 /// Vertex ids by descending degree (ties by original id, so
-/// deterministic). This is both the relabeling order below and the
-/// hot-vertex priority the feature store uses for cache residency: the
-/// highest-degree vertices are the rows a sampled gather touches most.
+/// deterministic). This is the hot-vertex priority the feature store uses
+/// for cache residency: the highest-degree vertices are the rows a
+/// sampled gather touches most.
 std::vector<Vid> degree_order(const CsrGraph& g);
-
-/// Vertex ids in BFS order from `root` (RCM-lite); unreached components
-/// appended in id order. Same dual use as degree_order.
-std::vector<Vid> bfs_order(const CsrGraph& g, Vid root = 0);
-
-/// Relabel by descending degree (ties by original id, so deterministic).
-Reordering reorder_by_degree(const CsrGraph& g);
-
-/// Relabel by BFS order from the given root (RCM-lite): neighbors get
-/// nearby ids, shrinking the propagation working set for mesh-like
-/// graphs. Unreached components are appended in id order.
-Reordering reorder_by_bfs(const CsrGraph& g, Vid root = 0);
-
-/// Apply a relabeling to per-vertex data rows: out[new_id] = in[old_id].
-template <typename T>
-std::vector<T> apply_reordering(const std::vector<T>& per_vertex,
-                                const std::vector<Vid>& new_to_old) {
-  std::vector<T> out;
-  out.reserve(per_vertex.size());
-  for (const Vid old_id : new_to_old) out.push_back(per_vertex[old_id]);
-  return out;
-}
 
 }  // namespace gsgcn::graph

@@ -139,8 +139,15 @@ Registry::~Registry() {
 
 Registry::Shard& Registry::local_shard() {
   static thread_local ThreadShards ts;
-  // Drop shards whose registry died first: a new registry may reuse the
-  // freed address, so an orphaned entry must never match by pointer.
+  // A new registry may reuse a dead one's address, so an orphaned entry
+  // (its registry died first) must never match by pointer.
+  for (ThreadShards::Entry& e : ts.entries) {
+    if (e.owner == this &&
+        !e.shard->orphaned.load(std::memory_order_acquire)) {
+      return *e.shard;
+    }
+  }
+  // First write to this registry from this thread: drop the orphans.
   ts.entries.erase(
       std::remove_if(ts.entries.begin(), ts.entries.end(),
                      [](const ThreadShards::Entry& e) {
@@ -148,9 +155,6 @@ Registry::Shard& Registry::local_shard() {
                            std::memory_order_acquire);
                      }),
       ts.entries.end());
-  for (ThreadShards::Entry& e : ts.entries) {
-    if (e.owner == this) return *e.shard;
-  }
   auto shard = std::make_unique<Shard>();
   Shard* p = shard.get();
   ts.entries.push_back({this, std::move(shard)});

@@ -107,17 +107,9 @@ ScopedAffinity::~ScopedAffinity() {
 
 int max_threads() { return omp_get_max_threads(); }
 int num_procs() { return omp_get_num_procs(); }
-int thread_id() { return omp_get_thread_num(); }
-bool in_parallel() { return omp_in_parallel() != 0; }
 int resolve_threads(int threads) {
   return threads > 0 ? threads : omp_get_max_threads();
 }
-
-ScopedNumThreads::ScopedNumThreads(int n) : previous_(omp_get_max_threads()) {
-  omp_set_num_threads(n > 0 ? n : previous_);
-}
-
-ScopedNumThreads::~ScopedNumThreads() { omp_set_num_threads(previous_); }
 
 Range split_range(std::int64_t n, int p, int i) {
   const std::int64_t base = n / p;

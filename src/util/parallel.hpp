@@ -1,12 +1,12 @@
 #pragma once
 // The library's single parallelism choke point.
 //
-// All data parallelism goes through parallel_for / parallel_for_dynamic /
-// parallel_region below. Two interchangeable backends implement them:
+// All data parallelism goes through parallel_for / parallel_for_ranges /
+// parallel_for_dynamic, which are short loops inside parallel_region —
+// the one place that forms a team. Two interchangeable backends
+// implement that region:
 //
-//  - OpenMP (default): each helper lowers onto the corresponding
-//    `#pragma omp` construct, so codegen and scheduling are identical to
-//    writing the pragma at the call site.
+//  - OpenMP (default): `#pragma omp parallel num_threads(p)`.
 //  - Plain std::thread teams (GSGCN_THREAD_BACKEND, selected by
 //    -DGSGCN_SANITIZE=thread): one fresh thread per team member per
 //    region. GCC's libgomp synchronizes its thread pool with futexes that
@@ -19,11 +19,21 @@
 //    we actually want race-checked — unchanged. Thread startup cost makes
 //    this backend slower; it exists for correctness runs, not production.
 //
-// Chunking note: the static split is contiguous blocks (split_range), the
-// same shape libgomp uses for schedule(static); results never depend on
+// Team size: every region asks for the full thread budget, whatever the
+// trip count; members past the last chunk return at once. Asking for a
+// smaller team when n < threads would make libgomp end its surplus pool
+// threads and create new ones at the next full-size region, so a small
+// loop between two large ones would cost a thread exit and a
+// pthread_create each time.
+//
+// Chunking note: the static split is contiguous blocks (split_range) over
+// the team OpenMP actually formed, not the team asked for: a nested region
+// gets one member, which then runs every chunk. Results never depend on
 // which thread runs which chunk, only on chunk-disjointness — which is
 // exactly what TSan verifies.
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -32,7 +42,6 @@
 #include "util/thread_annotations.hpp"
 
 #ifdef GSGCN_THREAD_BACKEND
-#include <atomic>
 #include <thread>
 #include <vector>
 #else
@@ -47,28 +56,9 @@ int max_threads();
 /// Hardware concurrency as OpenMP sees it (omp_get_num_procs).
 int num_procs();
 
-/// Current thread id inside a parallel region (0 outside).
-int thread_id();
-
-/// True if called from inside an active parallel region.
-bool in_parallel();
-
 /// threads > 0 ? threads : max_threads() — the convention every public
 /// `int threads` parameter in the library follows.
 int resolve_threads(int threads);
-
-/// RAII override of the OpenMP thread count: regions opened while this is
-/// alive use `n` threads; the previous max is restored on destruction.
-class ScopedNumThreads {
- public:
-  explicit ScopedNumThreads(int n);
-  ~ScopedNumThreads();
-  ScopedNumThreads(const ScopedNumThreads&) = delete;
-  ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
-
- private:
-  int previous_;
-};
 
 /// Pin the calling thread to logical CPU `cpu % num_procs()`. Returns
 /// false when unsupported or denied (containerized/cgroup setups); never
@@ -165,8 +155,9 @@ class ExceptionCollector {
   std::exception_ptr first_ GUARDED_BY(mu_);
 };
 
-/// SPMD region: body(tid, num_threads) runs once on each of `threads`
-/// team members (threads <= 0 → max_threads()).
+/// SPMD region: body(tid, num_threads) runs once on each member of a
+/// team of resolve_threads(threads). num_threads is the team actually
+/// formed, which is 1 inside another region.
 template <class F>
 void parallel_region(int threads, F&& body) {
   const int p = resolve_threads(threads);
@@ -188,58 +179,49 @@ void parallel_region(int threads, F&& body) {
 #endif
 }
 
-/// Statically-scheduled loop: body(i) for i in [0, n), contiguous chunks.
-template <class F>
-void parallel_for(std::int64_t n, int threads, F&& body) {
-  if (n <= 0) return;
-  int p = resolve_threads(threads);
-  if (static_cast<std::int64_t>(p) > n) p = static_cast<int>(n);
-  if (p <= 1) {
-    for (std::int64_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-#ifdef GSGCN_THREAD_BACKEND
-  parallel_region(p, [&body, n](int tid, int nt) {
-    const Range r = split_range(n, nt, tid);
-    for (std::int64_t i = r.begin; i < r.end; ++i) body(i);
-  });
-#else
-#pragma omp parallel for num_threads(p) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) body(i);
-#endif
-}
-
 /// Statically-scheduled loop over contiguous ranges: body(begin, end)
-/// runs once per team member on its split_range chunk. Use instead of
-/// parallel_for when the body is a dense inner loop the compiler should
-/// vectorize — handing it the whole [begin, end) range keeps the SIMD
-/// loop intact instead of re-entering a per-index callback. The chunking
-/// is identical to parallel_for's schedule(static), so any computation
-/// that is chunk-order-independent gives bit-identical results under
-/// either helper and any thread count.
+/// runs once per non-empty split_range chunk, min(n, team) chunks in all.
+/// Use instead of parallel_for when the body is a dense inner loop the
+/// compiler should vectorize — handing it the whole [begin, end) range
+/// keeps the SIMD loop intact instead of re-entering a per-index
+/// callback. parallel_for is this helper with a per-index loop, so any
+/// computation that is chunk-order-independent gives bit-identical
+/// results under either helper and any thread count.
 template <class F>
 void parallel_for_ranges(std::int64_t n, int threads, F&& body) {
   if (n <= 0) return;
-  int p = resolve_threads(threads);
-  if (static_cast<std::int64_t>(p) > n) p = static_cast<int>(n);
+  const int p = resolve_threads(threads);
+  if (n == 1 || p <= 1) {
+    body(std::int64_t{0}, n);
+    return;
+  }
   parallel_region(p, [&body, n](int tid, int nt) {
-    const Range r = split_range(n, nt, tid);
-    if (r.begin < r.end) body(r.begin, r.end);
+    const int chunks = static_cast<int>(std::min<std::int64_t>(n, nt));
+    if (tid >= chunks) return;
+    const Range r = split_range(n, chunks, tid);
+    body(r.begin, r.end);
+  });
+}
+
+/// Statically-scheduled loop: body(i) for i in [0, n), contiguous chunks.
+template <class F>
+void parallel_for(std::int64_t n, int threads, F&& body) {
+  parallel_for_ranges(n, threads, [&body](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) body(i);
   });
 }
 
 /// Dynamically-scheduled loop for irregular per-iteration cost: body(i)
-/// for i in [0, n), iterations handed out one at a time.
+/// for i in [0, n), iterations handed out one at a time from a shared
+/// counter.
 template <class F>
 void parallel_for_dynamic(std::int64_t n, int threads, F&& body) {
   if (n <= 0) return;
-  int p = resolve_threads(threads);
-  if (static_cast<std::int64_t>(p) > n) p = static_cast<int>(n);
-  if (p <= 1) {
+  const int p = resolve_threads(threads);
+  if (n == 1 || p <= 1) {
     for (std::int64_t i = 0; i < n; ++i) body(i);
     return;
   }
-#ifdef GSGCN_THREAD_BACKEND
   std::atomic<std::int64_t> next{0};
   parallel_region(p, [&body, &next, n](int, int) {
     for (std::int64_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
@@ -247,10 +229,6 @@ void parallel_for_dynamic(std::int64_t n, int threads, F&& body) {
       body(i);
     }
   });
-#else
-#pragma omp parallel for num_threads(p) schedule(dynamic)
-  for (std::int64_t i = 0; i < n; ++i) body(i);
-#endif
 }
 
 }  // namespace gsgcn::util

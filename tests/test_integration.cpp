@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "baselines/fullbatch.hpp"
 #include "baselines/graphsage.hpp"
 #include "data/synthetic.hpp"
@@ -99,8 +102,9 @@ TEST(Integration, NoNeighborExplosionInGraphSampling) {
 }
 
 TEST(Integration, DashboardFasterThanNaiveAtPaperScale) {
-  // O(η) pops vs O(m) pops: with m = 500 the gap is large enough to
-  // survive machine noise.
+  // O(η) pops vs O(m) pops: with m = 500 the gap is large. Single calls
+  // of the two samplers are interleaved and the minimum of each is
+  // compared, so a burst of machine noise cannot land on one side only.
   util::Xoshiro256 grng(5);
   const graph::CsrGraph g = graph::erdos_renyi(20000, 120000, grng);
   sampling::FrontierParams p;
@@ -112,12 +116,16 @@ TEST(Integration, DashboardFasterThanNaiveAtPaperScale) {
   // Warm both once.
   (void)naive.sample_vertices(r1);
   (void)dash.sample_vertices(r2);
-  util::Timer tn;
-  for (int i = 0; i < 3; ++i) (void)naive.sample_vertices(r1);
-  const double naive_s = tn.seconds();
-  util::Timer td;
-  for (int i = 0; i < 3; ++i) (void)dash.sample_vertices(r2);
-  const double dash_s = td.seconds();
+  double naive_s = std::numeric_limits<double>::infinity();
+  double dash_s = naive_s;
+  for (int i = 0; i < 5; ++i) {
+    util::Timer tn;
+    (void)naive.sample_vertices(r1);
+    naive_s = std::min(naive_s, tn.seconds());
+    util::Timer td;
+    (void)dash.sample_vertices(r2);
+    dash_s = std::min(dash_s, td.seconds());
+  }
   EXPECT_LT(dash_s, naive_s) << "dashboard " << dash_s << "s vs naive "
                              << naive_s << "s";
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -201,6 +202,23 @@ TEST(Metrics, ShardsMergeUnderParallelFor) {
   EXPECT_EQ(hist.buckets[1], 900u);   // 101..1000
   EXPECT_EQ(hist.buckets[2], static_cast<std::uint64_t>(kN) - 1001u);
   reg.reset();
+}
+
+TEST(Metrics, RegistryAtReusedAddressStartsEmpty) {
+  // A registry built in a dead one's storage shares its address. This
+  // thread's shard of the dead registry is orphaned, so it must not be
+  // matched: the new registry's counters start at 0 and its adds land in
+  // a shard it scrapes.
+  alignas(obs::Registry) unsigned char storage[sizeof(obs::Registry)];
+  for (int round = 0; round < 4; ++round) {
+    auto* reg = new (storage) obs::Registry;
+    const int h = reg->counter("t.reuse.counter");
+    EXPECT_DOUBLE_EQ(reg->scrape().counter("t.reuse.counter"), 0.0) << round;
+    reg->add(h, 1.0 + round);
+    EXPECT_DOUBLE_EQ(reg->scrape().counter("t.reuse.counter"), 1.0 + round)
+        << round;
+    reg->~Registry();
+  }
 }
 
 TEST(Metrics, ScrapeWhileThreadsAddIsSafe) {

@@ -53,8 +53,10 @@ TEST(Property, CsrMatchesSetOracleOnRandomEdgeLists) {
 
 TEST(Property, PropagationCommutesWithRelabeling) {
   // agg(π(g), π(x)) == π(agg(g, x)) for any vertex permutation π.
+  // Inducing every vertex in a chosen order is a relabeling.
   const CsrGraph g = gsgcn::testing::small_er(120, 500, 2);
-  const graph::Reordering r = graph::reorder_by_degree(g);
+  graph::Inducer inducer(g);
+  const graph::Subgraph r = inducer.induce(graph::degree_order(g));
   util::Xoshiro256 rng(3);
   const Matrix x = Matrix::gaussian(120, 9, 1.0f, rng);
 
@@ -62,8 +64,8 @@ TEST(Property, PropagationCommutesWithRelabeling) {
   propagation::aggregate_mean_forward(g, x, y);
 
   Matrix x_perm(120, 9), y_perm_expect(120, 9);
-  tensor::gather_rows(x, r.new_to_old, x_perm);
-  tensor::gather_rows(y, r.new_to_old, y_perm_expect);
+  tensor::gather_rows(x, r.orig_ids, x_perm);
+  tensor::gather_rows(y, r.orig_ids, y_perm_expect);
 
   Matrix y_perm(120, 9);
   propagation::aggregate_mean_forward(r.graph, x_perm, y_perm);
@@ -82,14 +84,15 @@ TEST(Property, GcnForwardIsPermutationEquivariant) {
   gcn::GcnModel model(mc);
 
   const CsrGraph g = gsgcn::testing::small_er(80, 350, 5);
-  const graph::Reordering r = graph::reorder_by_bfs(g, 0);
   util::Xoshiro256 rng(6);
+  graph::Inducer inducer(g);
+  const graph::Subgraph r = inducer.induce(util::random_permutation(80, rng));
   const Matrix x = Matrix::gaussian(80, 8, 1.0f, rng);
 
   const Matrix logits = model.forward(g, x, 1);
   Matrix x_perm(80, 8), expect(80, 4);
-  tensor::gather_rows(x, r.new_to_old, x_perm);
-  tensor::gather_rows(logits, r.new_to_old, expect);
+  tensor::gather_rows(x, r.orig_ids, x_perm);
+  tensor::gather_rows(logits, r.orig_ids, expect);
   const Matrix& got = model.forward(r.graph, x_perm, 1);
   EXPECT_LT(Matrix::max_abs_diff(got, expect), 1e-4f);
 }

@@ -1,107 +1,30 @@
-// Reordering tests: relabelings must be graph isomorphisms, with the
-// promised orderings, and per-vertex data must follow.
+// degree_order: the hot-vertex priority the feature store caches by must
+// be a permutation with degrees descending and ties in id order.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "graph/analysis.hpp"
 #include "graph/reorder.hpp"
 #include "test_helpers.hpp"
 
 namespace gsgcn::graph {
 namespace {
 
-/// Edge set under a mapping back to original ids.
-std::set<std::pair<Vid, Vid>> edges_in_orig_ids(const CsrGraph& g,
-                                                const std::vector<Vid>& new_to_old) {
-  std::set<std::pair<Vid, Vid>> out;
-  for (Vid u = 0; u < g.num_vertices(); ++u) {
-    for (const Vid v : g.neighbors(u)) {
-      const Vid ou = new_to_old[u], ov = new_to_old[v];
-      out.insert({std::min(ou, ov), std::max(ou, ov)});
-    }
-  }
-  return out;
-}
-
-std::set<std::pair<Vid, Vid>> edges_identity(const CsrGraph& g) {
-  std::vector<Vid> ident(g.num_vertices());
-  for (Vid v = 0; v < g.num_vertices(); ++v) ident[v] = v;
-  return edges_in_orig_ids(g, ident);
-}
-
-TEST(ReorderDegree, IsIsomorphism) {
-  const CsrGraph g = gsgcn::testing::small_er(200, 900, 1);
-  const Reordering r = reorder_by_degree(g);
-  EXPECT_TRUE(r.graph.validate().empty()) << r.graph.validate();
-  EXPECT_EQ(edges_in_orig_ids(r.graph, r.new_to_old), edges_identity(g));
-}
-
-TEST(ReorderDegree, DegreesDescending) {
+TEST(DegreeOrder, DegreesDescending) {
   const CsrGraph g = gsgcn::testing::small_er(200, 900, 2);
-  const Reordering r = reorder_by_degree(g);
-  for (Vid v = 1; v < r.graph.num_vertices(); ++v) {
-    EXPECT_GE(r.graph.degree(v - 1), r.graph.degree(v));
+  const std::vector<Vid> order = degree_order(g);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(g.num_vertices()));
+  EXPECT_EQ(std::set<Vid>(order.begin(), order.end()).size(), order.size());
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    EXPECT_GE(g.degree(order[i - 1]), g.degree(order[i]));
   }
 }
 
-TEST(ReorderDegree, MapsAreInverse) {
-  const CsrGraph g = gsgcn::testing::small_er(150, 600, 3);
-  const Reordering r = reorder_by_degree(g);
-  for (Vid v = 0; v < 150; ++v) {
-    EXPECT_EQ(r.old_to_new[r.new_to_old[v]], v);
-    EXPECT_EQ(r.new_to_old[r.old_to_new[v]], v);
-  }
-}
-
-TEST(ReorderBfs, IsIsomorphism) {
-  const CsrGraph g = gsgcn::testing::small_er(200, 900, 4);
-  const Reordering r = reorder_by_bfs(g, 0);
-  EXPECT_TRUE(r.graph.validate().empty()) << r.graph.validate();
-  EXPECT_EQ(edges_in_orig_ids(r.graph, r.new_to_old), edges_identity(g));
-}
-
-TEST(ReorderBfs, RootGetsIdZero) {
-  const CsrGraph g = gsgcn::testing::tiny_graph();
-  const Reordering r = reorder_by_bfs(g, 3);
-  EXPECT_EQ(r.new_to_old[0], 3u);
-}
-
-TEST(ReorderBfs, CoversDisconnectedComponents) {
-  const CsrGraph g = CsrGraph::from_edges(8, {{0, 1}, {2, 3}, {4, 5}});
-  const Reordering r = reorder_by_bfs(g, 0);
-  std::set<Vid> seen(r.new_to_old.begin(), r.new_to_old.end());
-  EXPECT_EQ(seen.size(), 8u);
-  EXPECT_EQ(num_components(r.graph), num_components(g));
-}
-
-TEST(ReorderBfs, NeighborsGetNearbyIds) {
-  // On a long ring, BFS order gives mean |id(u) - id(v)| per edge far
-  // smaller than a degree ordering does.
-  util::Xoshiro256 rng(5);
-  const CsrGraph g = graph::watts_strogatz(500, 2, 0.0, rng);
-  const Reordering bfs = reorder_by_bfs(g, 0);
-  auto mean_span = [](const CsrGraph& h) {
-    double total = 0.0;
-    for (Vid u = 0; u < h.num_vertices(); ++u) {
-      for (const Vid v : h.neighbors(u)) {
-        total += std::abs(static_cast<double>(u) - v);
-      }
-    }
-    return total / static_cast<double>(h.num_edges());
-  };
-  EXPECT_LT(mean_span(bfs.graph), 10.0);  // ring BFS: neighbors adjacent
-}
-
-TEST(ApplyReordering, PermutesData) {
-  const CsrGraph g = gsgcn::testing::tiny_graph();
-  const Reordering r = reorder_by_degree(g);
-  std::vector<int> labels = {10, 11, 12, 13, 14};
-  const auto moved = apply_reordering(labels, r.new_to_old);
-  for (Vid v = 0; v < 5; ++v) {
-    EXPECT_EQ(moved[v], labels[r.new_to_old[v]]);
-  }
+TEST(DegreeOrder, TiesKeepIdOrder) {
+  // Degrees of the 5-cycle with chord 1-3: {2, 3, 2, 3, 2}.
+  EXPECT_EQ(degree_order(gsgcn::testing::tiny_graph()),
+            (std::vector<Vid>{1, 3, 0, 2, 4}));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Unit tests for the util library: RNG, aligned buffer, stats, table,
-// CLI parsing, range splitting, env knobs.
+// CLI parsing, range splitting and parallel loops, env knobs.
 
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <set>
@@ -10,6 +12,7 @@
 #include "util/aligned_buffer.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
+#include "util/mutex.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -235,13 +238,65 @@ TEST(Parallel, SplitRangeBalanced) {
   EXPECT_LE(hi - lo, 1);
 }
 
-TEST(Parallel, ScopedNumThreadsRestores) {
-  const int before = max_threads();
-  {
-    ScopedNumThreads guard(1);
-    EXPECT_EQ(max_threads(), 1);
+TEST(Parallel, TeamNeverShrinks) {
+#ifdef GSGCN_THREAD_BACKEND
+  GTEST_SKIP() << "the std::thread backend starts a fresh team per region";
+#endif
+  // A loop shorter than the thread budget still runs on the full team:
+  // asking libgomp for a smaller one makes it end its surplus pool
+  // threads and create new ones at the next full-size loop.
+  constexpr int kThreads = 4;
+  Mutex mu;  // unguarded-ok: guards `ids`, a local GUARDED_BY cannot name
+  std::set<long> ids;
+  auto record = [&] {
+    MutexLock lock(mu);
+    ids.insert(::syscall(SYS_gettid));
+  };
+  parallel_region(kThreads, [&](int, int) { record(); });
+  const std::size_t first = ids.size();
+  for (int round = 0; round < 20; ++round) {
+    for (const std::int64_t n : {std::int64_t{3}, std::int64_t{100}}) {
+      parallel_for(n, kThreads, [&](std::int64_t) { record(); });
+      parallel_for_ranges(n, kThreads,
+                          [&](std::int64_t, std::int64_t) { record(); });
+      parallel_for_dynamic(n, kThreads, [&](std::int64_t) { record(); });
+    }
   }
-  EXPECT_EQ(max_threads(), before);
+  EXPECT_EQ(ids.size(), first);
+}
+
+TEST(Parallel, NestedLoopsRunEveryIndexOnce) {
+  // Inside a region OpenMP forms a one-member team, so the helpers must
+  // chunk by the team formed, not by the budget asked for.
+  constexpr int kThreads = 4;
+  for (const std::int64_t n : {1, 2, 3, 5, 100}) {
+    // counts[member][i]: how often member's inner loop ran index i.
+    std::vector<std::vector<int>> counts(kThreads);
+    auto nested = [&](auto&& inner) {
+      parallel_region(kThreads, [&](int tid, int) {
+        std::vector<int>& mine = counts[tid];
+        mine.assign(static_cast<std::size_t>(n), 0);
+        inner(mine);
+      });
+      for (int t = 0; t < kThreads; ++t) {
+        for (std::size_t i = 0; i < counts[t].size(); ++i) {
+          EXPECT_EQ(counts[t][i], 1) << "n=" << n << " member " << t
+                                     << " index " << i;
+        }
+      }
+    };
+    nested([&](std::vector<int>& mine) {
+      parallel_for(n, kThreads, [&](std::int64_t i) { ++mine[i]; });
+    });
+    nested([&](std::vector<int>& mine) {
+      parallel_for_ranges(n, kThreads, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) ++mine[i];
+      });
+    });
+    nested([&](std::vector<int>& mine) {
+      parallel_for_dynamic(n, kThreads, [&](std::int64_t i) { ++mine[i]; });
+    });
+  }
 }
 
 TEST(Parallel, PrivateCacheBytesIsPlausible) {
