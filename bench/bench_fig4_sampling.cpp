@@ -26,6 +26,9 @@ using namespace gsgcn;
 /// Wall time to sample rounds·p_inter subgraphs with a pool.
 double pool_seconds(const graph::CsrGraph& g, int p_inter, int rounds,
                     graph::Vid frontier, graph::Vid budget) {
+  sampling::PoolOptions options;
+  options.p_inter = p_inter;
+  options.seed = util::global_seed();
   sampling::SubgraphPool pool(
       g,
       [&](int) {
@@ -34,7 +37,7 @@ double pool_seconds(const graph::CsrGraph& g, int p_inter, int rounds,
         p.budget = budget;
         return std::make_unique<sampling::DashboardFrontierSampler>(g, p);
       },
-      p_inter, util::global_seed());
+      options);
   pool.refill();  // warm
   pool.reset_accounting();
   for (int r = 0; r < rounds; ++r) pool.refill();

@@ -70,15 +70,15 @@ void BM_GemmNN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNN)->Arg(128)->Arg(256)->Arg(512);
 
-// ---- Packed vs legacy GEMM on sampled-subgraph shapes ----------------------
+// ---- Packed GEMM on sampled-subgraph shapes --------------------------------
 //
 // The weight-application GEMM of one GCN layer on a sampled subgraph is
 // (|V_sub| × f) · (f × f): |V_sub| lands in the 6000–9000 range for the
-// paper's frontier sampler budget, f is the feature/hidden width. The
-// packed kernel (register tile + panel packing) and the legacy rank-1
-// axpy kernel run the identical shapes at max threads; the perf-smoke CI
-// job and EXPERIMENTS.md consume the GFLOPS counters from the two name
-// families (scripts/check_perf_regression.py pairs them by /m/f suffix).
+// paper's frontier sampler budget, f is the feature/hidden width. Every
+// BM_GemmPacked* shape runs at max threads; the perf-smoke CI job gates
+// the median of their frac_peak counters (GFLOP/s over the ISA's flops
+// per cycle × the reported clock × threads) with
+// scripts/check_perf_regression.py --floor.
 
 void BM_GemmPackedNN(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -94,31 +94,16 @@ void BM_GemmPackedNN(benchmark::State& state) {
   set_gemm_counters(state, m, f, f, pr);
 }
 
-void BM_GemmLegacyNN(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto f = static_cast<std::size_t>(state.range(1));
-  const tensor::Matrix a = random_matrix(m, f, 40);
-  const tensor::Matrix b = random_matrix(f, f, 41);
-  tensor::Matrix c(m, f);
-  const obs::PerfReading pr = obs::perf_read_thread();
-  for (auto _ : state) {
-    tensor::legacy::gemm_nn(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  set_gemm_counters(state, m, f, f, pr);
-}
-
 void subgraph_shapes(benchmark::internal::Benchmark* b) {
   for (const std::int64_t m : {6000, 9000}) {
     for (const std::int64_t f : {64, 128, 256, 512}) b->Args({m, f});
   }
 }
 BENCHMARK(BM_GemmPackedNN)->Apply(subgraph_shapes);
-BENCHMARK(BM_GemmLegacyNN)->Apply(subgraph_shapes);
 
-// TN and NT pairs so all three packed orientations are covered by the
-// comparison (TN = weight gradients, NT = input gradients). TN takes
-// (K, m, n): C (m×n) = Aᵀ·B with A K×m and B K×n. Besides the square
+// TN and NT shapes, so all three packed orientations are gated (TN =
+// weight gradients, NT = input gradients). TN takes (K, m, n):
+// C (m×n) = Aᵀ·B with A K×m and B K×n. Besides the square
 // 8000×128 shape, it runs the GCN's weight-gradient shapes at K = 6000
 // subgraph rows, where m (the layer's input width, 64–602) is the only
 // dimension the threads split.
@@ -132,21 +117,6 @@ void BM_GemmPackedTN(benchmark::State& state) {
   const obs::PerfReading pr = obs::perf_read_thread();
   for (auto _ : state) {
     tensor::gemm_tn(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  set_gemm_counters(state, m, k, n, pr);
-}
-
-void BM_GemmLegacyTN(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  const auto n = static_cast<std::size_t>(state.range(2));
-  const tensor::Matrix a = random_matrix(k, m, 42);
-  const tensor::Matrix b = random_matrix(k, n, 43);
-  tensor::Matrix c(m, n);
-  const obs::PerfReading pr = obs::perf_read_thread();
-  for (auto _ : state) {
-    tensor::legacy::gemm_tn(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
   set_gemm_counters(state, m, k, n, pr);
@@ -172,24 +142,8 @@ void BM_GemmPackedNT(benchmark::State& state) {
   set_gemm_counters(state, m, f, f, pr);
 }
 
-void BM_GemmLegacyNT(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto f = static_cast<std::size_t>(state.range(1));
-  const tensor::Matrix a = random_matrix(m, f, 44);
-  const tensor::Matrix b = random_matrix(f, f, 45);
-  tensor::Matrix c(m, f);
-  const obs::PerfReading pr = obs::perf_read_thread();
-  for (auto _ : state) {
-    tensor::legacy::gemm_nt(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  set_gemm_counters(state, m, f, f, pr);
-}
-
 BENCHMARK(BM_GemmPackedTN)->Apply(tn_shapes);
-BENCHMARK(BM_GemmLegacyTN)->Apply(tn_shapes);
 BENCHMARK(BM_GemmPackedNT)->Args({8000, 128});
-BENCHMARK(BM_GemmLegacyNT)->Args({8000, 128});
 
 void BM_GemmTN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,7 @@
-// Tiled vs legacy SpMM over sampled-subgraph shapes (google-benchmark).
+// Tiled SpMM over sampled-subgraph shapes, with its bandwidth ceiling
+// (google-benchmark).
 //
-// Four name families over |V| ∈ {6000, 9000} × f ∈ {64..512} × every
+// Three name families over |V| ∈ {6000, 9000} × f ∈ {64..512} × every
 // aggregator:
 //   BM_SpmmTiled/...          tiled kernel, default options: Q =
 //                             min{C, ⌈f/32⌉} (what training runs)
@@ -8,20 +9,24 @@
 //                             (detected L2)
 //   BM_SpmmTiledBest/...      tiled kernel at the fastest of {Q*, Q*/2,
 //                             2Q*, C}, timed here
-//   BM_SpmmLegacy/...         pre-tiling scalar slice kernel (baseline)
-// The perf-smoke CI job gates two pair ratios from the GFLOPS counters:
-// tiled vs legacy (median >= 1.3x) and tiled vs best-timed (every shape
-// >= 0.95x — the cost model must never lose more than 5% to a measured
-// sweep). Counters: GFLOPS and model_gbps from the obs::spmm_work model,
-// the measured PMU columns, and the q / q_analytic partition counts.
+// Counters: GFLOPS and model_gbps from the obs::spmm_work model,
+// triad_gbps and frac_triad (model_gbps ÷ triad_gbps), the measured PMU
+// columns, and the q / q_analytic partition counts. The perf-smoke CI
+// job gates the median frac_triad of BM_SpmmTiled (a floor, see
+// scripts/check_perf_regression.py --floor) and the pair ratio tiled vs
+// best-timed (every shape >= 0.95x — the cost model must never lose more
+// than 5% to a measured sweep).
 //
 // Every time in a record — real_time, GFLOPS, model_gbps, items/s — is
 // the configuration's fastest call in a per-shape round-robin over every
 // configuration (shape_times), reported as manual time: on a shared
 // multi-core host, stalls and load shifts lasting seconds swamp a mean,
-// while round-robin minima see the same host state. Two families that
-// run the same Q share one measurement. The single timed-loop iteration
-// runs the kernel once more for the PMU columns only.
+// while round-robin minima see the same host state. The round-robin's
+// last slot is a warm STREAM triad at the shape's input size and thread
+// count, so the kernel and its ceiling are timed under the same host
+// state in the same process. Two families that run the same Q share one
+// measurement. The single timed-loop iteration runs the kernel once more
+// for the PMU columns only.
 
 #include <benchmark/benchmark.h>
 
@@ -47,7 +52,7 @@ namespace {
 
 using namespace gsgcn;
 
-enum class Mode { kTiled, kTiledAnalytic, kTiledBest, kLegacy };
+enum class Mode { kTiled, kTiledAnalytic, kTiledBest };
 
 constexpr int kRounds = 40;
 
@@ -66,13 +71,40 @@ struct Shape {
     opts.aggregator = kind;
   }
 
-  int run(Mode mode, int q) {
+  int run(int q) {
     propagation::FeaturePartitionOptions o = opts;
     o.force_q = q;
-    return mode == Mode::kLegacy
-               ? propagation::legacy::propagate_feature_partitioned(g, in,
-                                                                    out, o)
-               : propagation::propagate_feature_partitioned(g, in, out, o);
+    return propagation::propagate_feature_partitioned(g, in, out, o);
+  }
+};
+
+/// STREAM triad a = b + s·c over three arrays of `n` floats, one
+/// contiguous block per thread: the bandwidth ceiling of a kernel whose
+/// input is `n` floats, on `threads` threads. Timed warm (right after an
+/// untimed pass), as the SpMM re-reads each input row once per incident
+/// edge and so streams mostly from cache.
+struct Triad {
+  std::vector<float> a, b, c;
+  int threads;
+
+  Triad(std::size_t n, int threads)
+      : a(n, 0.0f), b(n, 1.0f), c(n, 2.0f), threads(threads) {}
+
+  double bytes() const { return 3.0 * sizeof(float) * a.size(); }
+
+  void run() {
+    float* pa = a.data();
+    const float* pb = b.data();
+    const float* pc = c.data();
+    const std::size_t n = a.size();
+    const auto t = static_cast<std::size_t>(threads);
+    util::parallel_for(threads, threads, [=](std::int64_t i) {
+      const auto block = static_cast<std::size_t>(i);
+      const std::size_t end = n * (block + 1) / t;
+      for (std::size_t j = n * block / t; j < end; ++j) {
+        pa[j] = pb[j] + 3.0f * pc[j];
+      }
+    });
   }
 };
 
@@ -83,12 +115,12 @@ struct ShapeTimes {
   double tiled_s = 0.0;
   double analytic_s = 0.0;
   double best_s = 0.0;
-  double legacy_s = 0.0;
+  double triad_gbps = 0.0;  // same-run bandwidth ceiling
 };
 
 /// Fastest call per configuration of one shape, timed round-robin over
-/// the tiled kernel at every candidate Q and the legacy kernel at the
-/// default Q. Memoized: the four families of a shape share it.
+/// the tiled kernel at every candidate Q and the triad at the shape's
+/// input size. Memoized: the three families of a shape share it.
 const ShapeTimes& shape_times(graph::Vid n, std::size_t f,
                               propagation::AggregatorKind kind) {
   static std::map<std::tuple<graph::Vid, std::size_t, int>, ShapeTimes> memo;
@@ -103,7 +135,7 @@ const ShapeTimes& shape_times(graph::Vid n, std::size_t f,
   analytic.cache_bytes = util::private_cache_bytes();
   t.q_analytic =
       propagation::propagate_feature_partitioned(s.g, s.in, s.out, analytic);
-  t.q_tiled = s.run(Mode::kTiled, 0);
+  t.q_tiled = s.run(0);
   const int c = util::resolve_threads(s.opts.threads);
   const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
   std::vector<int> qs;
@@ -115,17 +147,22 @@ const ShapeTimes& shape_times(graph::Vid n, std::size_t f,
     add(q);
   }
   // qs[0..n_cands) are the sweep candidates; the default Q joins after
-  // them when it is none of them. The last slot is the legacy kernel.
+  // them when it is none of them. The last slot is the triad.
   const std::size_t n_cands = qs.size();
   add(t.q_tiled);
+  Triad triad(s.in.size(), c);
   std::vector<double> best(qs.size() + 1,
                            std::numeric_limits<double>::infinity());
   for (int round = 0; round <= kRounds; ++round) {  // round 0 warms up
     for (std::size_t i = 0; i <= qs.size(); ++i) {
-      const bool legacy = i == qs.size();
+      const bool is_triad = i == qs.size();
+      if (is_triad) triad.run();  // untimed pass: the timed one runs warm
       const util::Timer timer;
-      s.run(legacy ? Mode::kLegacy : Mode::kTiled,
-            legacy ? t.q_tiled : qs[i]);
+      if (is_triad) {
+        triad.run();
+      } else {
+        s.run(qs[i]);
+      }
       if (round > 0) best[i] = std::min(best[i], timer.seconds());
     }
   }
@@ -135,7 +172,7 @@ const ShapeTimes& shape_times(graph::Vid n, std::size_t f,
   };
   t.tiled_s = time_of(t.q_tiled);
   t.analytic_s = time_of(t.q_analytic);
-  t.legacy_s = best.back();
+  t.triad_gbps = triad.bytes() * 1e-9 / best.back();
   t.q_best = qs.front();
   t.best_s = best.front();
   for (std::size_t i = 1; i < n_cands; ++i) {
@@ -156,12 +193,11 @@ void run_spmm(benchmark::State& state, graph::Vid n, std::size_t f,
     case Mode::kTiled: break;
     case Mode::kTiledAnalytic: q = t.q_analytic; secs = t.analytic_s; break;
     case Mode::kTiledBest: q = t.q_best; secs = t.best_s; break;
-    case Mode::kLegacy: secs = t.legacy_s; break;
   }
   Shape s(n, f, kind);
   const obs::PerfReading pr = obs::perf_read_thread();
   for (auto _ : state) {
-    s.run(mode, q);
+    s.run(q);
     benchmark::DoNotOptimize(s.out.data());
     benchmark::ClobberMemory();
     state.SetIterationTime(secs);
@@ -171,7 +207,10 @@ void run_spmm(benchmark::State& state, graph::Vid n, std::size_t f,
                      static_cast<std::int64_t>(s.g.num_edges()),
                      static_cast<std::int64_t>(f));
   state.counters["GFLOPS"] = work.flops * 1e-9 / secs;
-  state.counters["model_gbps"] = work.bytes * 1e-9 / secs;
+  const double model_gbps = work.bytes * 1e-9 / secs;
+  state.counters["model_gbps"] = model_gbps;
+  state.counters["triad_gbps"] = t.triad_gbps;
+  state.counters["frac_triad"] = model_gbps / t.triad_gbps;
   state.counters["ai_model"] =
       work.bytes > 0.0 ? work.flops / work.bytes : 0.0;
   state.counters["q"] = static_cast<double>(q);
@@ -186,14 +225,13 @@ const char* family_name(Mode mode) {
     case Mode::kTiled: return "BM_SpmmTiled";
     case Mode::kTiledAnalytic: return "BM_SpmmTiledAnalytic";
     case Mode::kTiledBest: return "BM_SpmmTiledBest";
-    case Mode::kLegacy: return "BM_SpmmLegacy";
   }
   return "?";
 }
 
 void register_benchmarks() {
-  for (const Mode mode : {Mode::kTiled, Mode::kTiledAnalytic,
-                          Mode::kTiledBest, Mode::kLegacy}) {
+  for (const Mode mode :
+       {Mode::kTiled, Mode::kTiledAnalytic, Mode::kTiledBest}) {
     for (const graph::Vid n : {6000u, 9000u}) {
       for (const std::size_t f : {64u, 128u, 256u, 512u}) {
         for (const auto kind : {propagation::AggregatorKind::kMean,

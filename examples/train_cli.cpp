@@ -408,22 +408,26 @@ int main(int argc, char** argv) {
                   ckpt.c_str());
     }
 
-    // Gather-path traffic accounting from the store that fed training.
+    // Gather-path traffic accounting from the process-wide featstore.*
+    // counters (every gather in this process went to the store that fed
+    // training). Registering a name first makes an unbumped one read 0.
     const data::FeatureStore* fs =
         mmap_store ? mmap_store.get() : trainer.feature_store();
     if (fs != nullptr) {
-      const data::FeatureStoreStats fstats = fs->stats();
+      obs::Registry& reg = obs::Registry::instance();
+      const auto counter = [&reg](const char* name) {
+        reg.counter(name);
+        return reg.scrape().counter(name);
+      };
+      const double rows = counter("featstore.rows");
       std::printf(
           "feature gathers: %llu rows (%s), %.1f%% cache hits, "
           "%.1f MB moved, %.1f MB prefetch hints\n",
-          static_cast<unsigned long long>(fstats.gathered_rows),
+          static_cast<unsigned long long>(rows),
           data::feature_dtype_name(fs->dtype()),
-          fstats.gathered_rows > 0
-              ? 100.0 * static_cast<double>(fstats.cache_hits) /
-                    static_cast<double>(fstats.gathered_rows)
-              : 0.0,
-          static_cast<double>(fstats.bytes_moved) / (1024.0 * 1024.0),
-          static_cast<double>(fstats.prefetch_bytes) / (1024.0 * 1024.0));
+          rows > 0.0 ? 100.0 * counter("featstore.cache_hits") / rows : 0.0,
+          counter("featstore.bytes_moved") / (1024.0 * 1024.0),
+          counter("featstore.prefetch_bytes") / (1024.0 * 1024.0));
     }
 
     // ---- observability artifacts ----

@@ -80,7 +80,7 @@ CXX_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh"}
 # Files whose bytes feed serialization, cross-thread reductions, or
 # telemetry: hash-order iteration here breaks the determinism contract.
 SERIALIZATION_PATH_GLOBS = [
-    "src/data/feature_store.*",  # on-disk layout + cross-thread stat folds
+    "src/data/feature_store.*",  # on-disk layout (framed header + payload)
     "src/gcn/checkpoint.*",
     "src/gcn/metrics.*",
     "src/obs/*",

@@ -3,8 +3,9 @@
 
 Instead of one hardcoded comparison, this diffs any bench JSON — google-benchmark format ("benchmarks" list)
 or the repo JsonEmitter format ("records" list) — against a committed
-baseline with per-metric tolerances, and/or checks within-file pair
-ratios (e.g. packed vs legacy GEMM). It is the single CI perf gate.
+baseline with per-metric tolerances, checks within-file pair ratios
+(e.g. analytic vs best-timed Q), and/or floors the median of a same-run
+fraction (e.g. packed GEMM's frac_peak). It is the single CI perf gate.
 
 Modes (combinable):
 
@@ -26,6 +27,14 @@ Modes (combinable):
       runners should use loose tolerances. --min-each-pair-ratio R2
       additionally bounds every individual pair (no outlier escape).
 
+  Floor              --floor PREFIX:METRIC:MIN ...
+      Requires the median of METRIC over the entries whose names start
+      with PREFIX to be >= MIN. Meant for metrics that are already a
+      fraction of what the runner can do, with both sides measured in
+      one process: frac_peak (GFLOP/s over ISA flops/cycle x reported
+      clock x threads) and frac_triad (modeled GB/s over a warm STREAM
+      triad timed in the same round-robin).
+
 Entries are keyed by benchmark name (google-benchmark) or by the record
 "kind" plus the values of --key fields (JsonEmitter). Metrics are any
 numeric field of the entry. Entries whose "pmu" / "pmu_available" field
@@ -34,9 +43,7 @@ measured_gbps, cycles_per_iter, frac_peak_measured) — a PMU-less runner
 must not fail the gate for reporting no hardware counters.
 
   check_perf_regression.py current.json --baseline BENCH_kernels.json \\
-      --metric GFLOPS:higher:0.5 \\
-      --pair BM_GemmPacked=BM_GemmLegacy --pair-metric GFLOPS \\
-      --min-pair-ratio 1.2
+      --metric GFLOPS:higher:0.5 --floor BM_GemmPacked:frac_peak:0.39
 
   check_perf_regression.py --self-test
 """
@@ -197,6 +204,29 @@ def check_pairs(current, cur_prefix, ref_prefix, metric, min_ratio, out,
     return failures
 
 
+def parse_floor_rule(spec):
+    parts = spec.rsplit(":", 2)
+    if len(parts) != 3 or not parts[0] or not parts[1]:
+        raise ValueError(f"bad --floor '{spec}': expected PREFIX:METRIC:MIN")
+    return parts[0], parts[1], float(parts[2])
+
+
+def check_floor(current, prefix, metric, floor, out):
+    values = sorted((key, m[metric]) for key, m in current.items()
+                    if key.startswith(prefix) and metric in m)
+    if not values:
+        return [f"floor {prefix}: no entries carry metric '{metric}'"]
+    for key, v in values:
+        out(f"  {key:<40} {metric}: {v:.4g}")
+    median = statistics.median(v for _, v in values)
+    out(f"floor {prefix} median {metric} over {len(values)} entries: "
+        f"{median:.4g} (floor {floor:.4g})")
+    if median < floor:
+        return [f"floor {prefix}: median {metric} {median:.4g} below "
+                f"floor {floor:.4g}"]
+    return []
+
+
 def self_test():
     """Exercise both formats and every pass/fail path on synthetic docs."""
     quiet = lambda *_: None  # noqa: E731
@@ -236,6 +266,18 @@ def self_test():
     fails = check_pairs(cur, "BM_FooPacked", "BM_FooLegacy", "GFLOPS",
                         2.5, quiet, min_each_ratio=2.5)
     assert len(fails) == 1 and "per-pair floor" in fails[0], fails
+
+    # Floor mode: median frac of (0.4, 0.5, 0.9) is 0.5 -> passes 0.5,
+    # fails 0.55 (one fast shape cannot lift a slow median); a prefix or
+    # metric that matches nothing fails instead of passing vacuously.
+    fracs = {"BM_Bar/1": {"frac": 0.4}, "BM_Bar/2": {"frac": 0.9},
+             "BM_Bar/3": {"frac": 0.5}, "BM_BarOther/1": {"frac": 0.0}}
+    assert check_floor(fracs, "BM_Bar/", "frac", 0.5, quiet) == []
+    fails = check_floor(fracs, "BM_Bar/", "frac", 0.55, quiet)
+    assert len(fails) == 1 and "below floor" in fails[0], fails
+    assert check_floor(fracs, "BM_Baz/", "frac", 0.1, quiet) != []
+    assert check_floor(fracs, "BM_Bar/", "nope", 0.1, quiet) != []
+    assert parse_floor_rule("BM_Bar/:frac:0.5") == ("BM_Bar/", "frac", 0.5)
 
     # Baseline diff: 10% regression passes tol 0.8, fails tol 0.95.
     base = {k: dict(v) for k, v in cur.items()}
@@ -319,13 +361,18 @@ def main():
                     help="restrict --require-coverage to matching entries")
     ap.add_argument("--pair", metavar="CUR_PREFIX=REF_PREFIX",
                     help="within-file pair-ratio check, e.g. "
-                         "BM_GemmPacked=BM_GemmLegacy")
+                         "BM_SpmmTiled/=BM_SpmmTiledBest/")
     ap.add_argument("--pair-metric", default="GFLOPS")
     ap.add_argument("--min-pair-ratio", type=float, default=1.2)
     ap.add_argument("--min-each-pair-ratio", type=float, default=None,
                     help="additionally require EVERY pair ratio >= this "
                          "(the median gate tolerates outliers; this "
                          "doesn't)")
+    ap.add_argument("--floor", action="append", default=[],
+                    metavar="PREFIX:METRIC:MIN",
+                    help="require the median METRIC over entries named "
+                         "PREFIX* to be >= MIN, e.g. "
+                         "BM_GemmPacked:frac_peak:0.39")
     ap.add_argument("--self-test", action="store_true",
                     help="run the built-in unit tests and exit")
     args = ap.parse_args()
@@ -334,8 +381,8 @@ def main():
         return self_test()
     if not args.current:
         ap.error("a bench JSON path is required (or --self-test)")
-    if not args.baseline and not args.pair:
-        ap.error("nothing to check: give --baseline and/or --pair")
+    if not args.baseline and not args.pair and not args.floor:
+        ap.error("nothing to check: give --baseline, --pair and/or --floor")
 
     key_fields = [k for k in args.key.split(",") if k]
     current = load_file(args.current, key_fields)
@@ -348,6 +395,9 @@ def main():
         failures += check_pairs(current, cur_prefix, ref_prefix,
                                 args.pair_metric, args.min_pair_ratio,
                                 print, args.min_each_pair_ratio)
+
+    for spec in args.floor:
+        failures += check_floor(current, *parse_floor_rule(spec), print)
 
     if args.baseline:
         rules = [parse_metric_rule(s) for s in args.metric]

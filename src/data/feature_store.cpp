@@ -129,7 +129,7 @@ struct FeatureStore::Mapping {
   }
 };
 
-FeatureStore::FeatureStore() : stats_(std::make_unique<StatsBlock>()) {}
+FeatureStore::FeatureStore() = default;
 FeatureStore::~FeatureStore() = default;
 FeatureStore::FeatureStore(FeatureStore&&) noexcept = default;
 FeatureStore& FeatureStore::operator=(FeatureStore&&) noexcept = default;
@@ -488,13 +488,6 @@ void FeatureStore::gather(std::span<const std::uint32_t> indices,
   const std::uint64_t misses = n - hits;
   const std::uint64_t bytes =
       hits * cols_ * 8 + misses * (row_bytes_ + cols_ * 4);
-  {
-    util::MutexLock lock(stats_->mu);
-    stats_->s.gathered_rows += n;
-    stats_->s.cache_hits += hits;
-    stats_->s.cache_misses += misses;
-    stats_->s.bytes_moved += bytes;
-  }
   GSGCN_COUNTER_ADD("featstore.rows", static_cast<double>(n));
   GSGCN_COUNTER_ADD("featstore.cache_hits", static_cast<double>(hits));
   GSGCN_COUNTER_ADD("featstore.cache_misses", static_cast<double>(misses));
@@ -540,11 +533,7 @@ void FeatureStore::prefetch(std::span<const std::uint32_t> indices) const {
   }
   flush();
 
-  {
-    util::MutexLock lock(stats_->mu);
-    stats_->s.prefetch_calls += 1;
-    stats_->s.prefetch_bytes += advised;
-  }
+  GSGCN_COUNTER_INC("featstore.prefetch_calls");
   GSGCN_COUNTER_ADD("featstore.prefetch_bytes", static_cast<double>(advised));
 }
 
@@ -556,16 +545,6 @@ tensor::Matrix FeatureStore::to_dense(int threads) const {
                                   dense.row(static_cast<std::size_t>(i)));
                      });
   return dense;
-}
-
-FeatureStoreStats FeatureStore::stats() const {
-  util::MutexLock lock(stats_->mu);
-  return stats_->s;
-}
-
-void FeatureStore::reset_stats() {
-  util::MutexLock lock(stats_->mu);
-  stats_->s = FeatureStoreStats{};
 }
 
 // ---------------------------------------------------------------------------

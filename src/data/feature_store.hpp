@@ -25,8 +25,10 @@
 //      pool's lookahead.
 //
 // Thread safety: gather/prefetch/to_dense are const and safe to call
-// concurrently; the only mutable state is the stats block, guarded by its
-// own mutex (hit/miss tallies are computed per call and folded once).
+// concurrently; the store holds no mutable state. Traffic is accounted
+// in the process-wide `featstore.*` counters (obs/metrics.hpp): rows,
+// cache_hits, cache_misses, bytes_moved, prefetch_calls, prefetch_bytes.
+// Hit/miss tallies are computed per call and added once.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,8 +39,6 @@
 
 #include "graph/csr.hpp"
 #include "tensor/matrix.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace gsgcn::data {
 
@@ -64,18 +64,6 @@ struct FeatureStoreOptions {
   /// open_mmap only: CRC-check the full payload at open (one sequential
   /// read of the file). The framed header is always verified.
   bool verify_payload = false;
-};
-
-/// Monotonic counters since construction / reset_stats().
-struct FeatureStoreStats {
-  std::uint64_t gathered_rows = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Payload bytes read + fp32 bytes written by gathers (hits read fp32
-  /// from the cache instead of payload).
-  std::uint64_t bytes_moved = 0;
-  std::uint64_t prefetch_calls = 0;
-  std::uint64_t prefetch_bytes = 0;
 };
 
 class FeatureStore {
@@ -127,6 +115,8 @@ class FeatureStore {
   /// out[i] = widen(payload row indices[i]); out must be indices.size()
   /// × cols(). Bit-identical for any thread count / cache size. Throws
   /// std::out_of_range (naming the index) before touching out.
+  /// `featstore.bytes_moved` counts payload bytes read + fp32 bytes
+  /// written (hits read fp32 from the cache instead of payload).
   void gather(std::span<const std::uint32_t> indices, tensor::Matrix& out,
               int threads = 0) const;
 
@@ -137,15 +127,8 @@ class FeatureStore {
   /// Widen the whole store (tests / small-graph serving fallback).
   tensor::Matrix to_dense(int threads = 0) const;
 
-  FeatureStoreStats stats() const;
-  void reset_stats();
-
  private:
   struct Mapping;  // owns the fd + mapped range
-  struct StatsBlock {
-    mutable util::Mutex mu;
-    FeatureStoreStats s GUARDED_BY(mu);
-  };
 
   /// Decode payload row r (no cache consultation) into out[0, cols_).
   void decode_row(std::size_t r, float* out) const;
@@ -175,10 +158,6 @@ class FeatureStore {
   // Hot cache: cache_.row(slot_of_[v]) is the exact widened row v.
   tensor::Matrix cache_;
   std::vector<std::uint32_t> slot_of_;
-
-  // Stats live behind a pointer so the store stays movable (util::Mutex
-  // is not). This is the "FeatureStore cache mutex" the analyzer sweeps.
-  std::unique_ptr<StatsBlock> stats_;
 };
 
 }  // namespace gsgcn::data

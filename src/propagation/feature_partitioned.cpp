@@ -1,8 +1,6 @@
 #include "propagation/feature_partitioned.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -52,59 +50,6 @@ int pick_q(const graph::CsrGraph& g, std::size_t f,
   m.cache_bytes = opts.cache_bytes;
   m.processors = threads;
   return choose_feature_partitions(m);
-}
-
-/// Forward aggregation over one feature slice for all vertices — the
-/// pre-tiling scalar kernel, kept verbatim as the legacy:: baseline.
-void forward_slice(const graph::CsrGraph& g, AggregatorKind kind,
-                   const tensor::Matrix& in, tensor::Matrix& out, Slice s) {
-  const std::size_t len = s.end - s.begin;
-  for (graph::Vid v = 0; v < g.num_vertices(); ++v) {
-    float* dst = out.row(v) + s.begin;
-    std::memset(dst, 0, len * sizeof(float));
-    const auto nbrs = g.neighbors(v);
-    if (nbrs.empty()) continue;
-    if (kind == AggregatorKind::kSymmetric) {
-      const float inv_sqrt_dv =
-          1.0f / std::sqrt(static_cast<float>(nbrs.size()));
-      for (const graph::Vid u : nbrs) {
-        const float w =
-            inv_sqrt_dv / std::sqrt(static_cast<float>(g.degree(u)));
-        const float* src = in.row(u) + s.begin;
-        for (std::size_t j = 0; j < len; ++j) dst[j] += w * src[j];
-      }
-    } else {
-      for (const graph::Vid u : nbrs) {
-        const float* src = in.row(u) + s.begin;
-        for (std::size_t j = 0; j < len; ++j) dst[j] += src[j];
-      }
-      if (kind == AggregatorKind::kMean) {
-        const float inv = 1.0f / static_cast<float>(nbrs.size());
-        for (std::size_t j = 0; j < len; ++j) dst[j] *= inv;
-      }
-    }
-  }
-}
-
-void backward_slice(const graph::CsrGraph& g, AggregatorKind kind,
-                    const tensor::Matrix& d_out, tensor::Matrix& d_in,
-                    Slice s) {
-  if (kind != AggregatorKind::kMean) {
-    // Sum and symmetric normalization are self-adjoint on an undirected
-    // graph: the gradient is the forward operator applied to d_out.
-    forward_slice(g, kind, d_out, d_in, s);
-    return;
-  }
-  const std::size_t len = s.end - s.begin;
-  for (graph::Vid u = 0; u < g.num_vertices(); ++u) {
-    float* dst = d_in.row(u) + s.begin;
-    std::memset(dst, 0, len * sizeof(float));
-    for (const graph::Vid v : g.neighbors(u)) {
-      const float w = 1.0f / static_cast<float>(g.degree(v));
-      const float* src = d_out.row(v) + s.begin;
-      for (std::size_t j = 0; j < len; ++j) dst[j] += w * src[j];
-    }
-  }
 }
 
 void check(const graph::CsrGraph& g, const tensor::Matrix& a,
@@ -205,36 +150,5 @@ void propagate_2d(const graph::CsrGraph& g, const graph::Partition& parts,
                           s.begin, s.end, wp);
   });
 }
-
-namespace legacy {
-
-int propagate_feature_partitioned(const graph::CsrGraph& g,
-                                  const tensor::Matrix& in, tensor::Matrix& out,
-                                  const FeaturePartitionOptions& opts) {
-  check(g, in, out);
-  const int c = util::resolve_threads(opts.threads);
-  const int q = pick_q(g, in.cols(), opts, c);
-  util::parallel_for(q, c, [&](std::int64_t i) {
-    forward_slice(g, opts.aggregator, in, out,
-                  feature_slice(in.cols(), q, static_cast<int>(i)));
-  });
-  return q;
-}
-
-int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
-                                           const tensor::Matrix& d_out,
-                                           tensor::Matrix& d_in,
-                                           const FeaturePartitionOptions& opts) {
-  check(g, d_out, d_in);
-  const int c = util::resolve_threads(opts.threads);
-  const int q = pick_q(g, d_out.cols(), opts, c);
-  util::parallel_for(q, c, [&](std::int64_t i) {
-    backward_slice(g, opts.aggregator, d_out, d_in,
-                   feature_slice(d_out.cols(), q, static_cast<int>(i)));
-  });
-  return q;
-}
-
-}  // namespace legacy
 
 }  // namespace gsgcn::propagation

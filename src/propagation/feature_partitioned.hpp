@@ -52,17 +52,4 @@ void propagate_2d(const graph::CsrGraph& g, const graph::Partition& parts,
                   int q, AggregatorKind kind, const tensor::Matrix& in,
                   tensor::Matrix& out, int threads = 0);
 
-/// The pre-tiling scalar slice kernels, kept as the measured baseline for
-/// bench_propagation (the tiled-vs-legacy CI gate). Picks Q exactly as
-/// the tiled entry points do.
-namespace legacy {
-int propagate_feature_partitioned(const graph::CsrGraph& g,
-                                  const tensor::Matrix& in,
-                                  tensor::Matrix& out,
-                                  const FeaturePartitionOptions& opts = {});
-int propagate_feature_partitioned_backward(
-    const graph::CsrGraph& g, const tensor::Matrix& d_out,
-    tensor::Matrix& d_in, const FeaturePartitionOptions& opts = {});
-}  // namespace legacy
-
 }  // namespace gsgcn::propagation

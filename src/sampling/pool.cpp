@@ -18,7 +18,6 @@ SubgraphPool::SubgraphPool(const graph::CsrGraph& g, SamplerFactory factory,
                            PoolOptions options)
     : g_(g),
       seed_(options.seed),
-      pin_threads_(options.pin_threads),
       async_(options.async) {
   if (options.p_inter <= 0) {
     throw std::invalid_argument("SubgraphPool: p_inter <= 0");
@@ -33,16 +32,6 @@ SubgraphPool::SubgraphPool(const graph::CsrGraph& g, SamplerFactory factory,
   }
   if (async_) start_async();
 }
-
-SubgraphPool::SubgraphPool(const graph::CsrGraph& g, SamplerFactory factory,
-                           int p_inter, std::uint64_t seed, bool pin_threads)
-    : SubgraphPool(g, std::move(factory), [&] {
-        PoolOptions o;
-        o.p_inter = p_inter;
-        o.seed = seed;
-        o.pin_threads = pin_threads;
-        return o;
-      }()) {}
 
 SubgraphPool::~SubgraphPool() { stop_async(); }
 
@@ -67,11 +56,13 @@ std::vector<graph::Subgraph> SubgraphPool::produce_batch(
       // Per-slot fault site inside the worker body: exercises the
       // ExceptionCollector path an organic sampler failure would take.
       util::fault_point("pool.sample");
-      // Pin for the duration of this sample only; the guard restores the
-      // thread's previous mask so pooled worker threads are not left
-      // confined to one CPU after the batch completes.
+      // Pin for the duration of this sample only, as the paper prescribes,
+      // so the sampler's Dashboard stays resident in that core's private
+      // cache. The guard restores the thread's previous mask so pooled
+      // worker threads are not left confined to one CPU after the batch
+      // completes; pinning failures (restrictive containers) are ignored.
       util::ScopedAffinity affinity;
-      if (pin_threads_) (void)affinity.pin(static_cast<int>(i));
+      (void)affinity.pin(static_cast<int>(i));
       // The RNG is derived from the global slot index, not the instance
       // index: slot k produces the same subgraph no matter which instance
       // (or p_inter / sync vs async configuration) executes it.
@@ -133,13 +124,11 @@ void SubgraphPool::producer_main() {
     std::uint64_t slot_base;
     {
       util::MutexLock lock(mu_);
-      const util::Timer idle_timer;
       space_.wait(mu_, [&] {
         mu_.AssertHeld();  // wait predicates run with the lock held
         return stop_ ||
                queue_.size() + static_cast<std::size_t>(p) <= capacity_;
       });
-      producer_idle_seconds_ += idle_timer.seconds();
       if (stop_) {
         producer_live_ = false;
         not_empty_.notify_all();
@@ -313,11 +302,6 @@ double SubgraphPool::pop_wait_seconds() const {
   return pop_wait_seconds_;
 }
 
-double SubgraphPool::producer_idle_seconds() const {
-  util::MutexLock lock(mu_);
-  return producer_idle_seconds_;
-}
-
 std::uint64_t SubgraphPool::stalls() const {
   util::MutexLock lock(mu_);
   return stall_count_;
@@ -332,7 +316,6 @@ void SubgraphPool::reset_accounting() {
   util::MutexLock lock(mu_);
   sample_seconds_ = 0.0;
   pop_wait_seconds_ = 0.0;
-  producer_idle_seconds_ = 0.0;
   stall_count_ = 0;
   cold_start_count_ = 0;
 }

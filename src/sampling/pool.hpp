@@ -63,14 +63,6 @@ struct PoolOptions {
   /// batch size of every refill.
   int p_inter = 1;
   std::uint64_t seed = 1;
-  /// With `pin_threads` (default on), each sampler thread is bound to a
-  /// core for the duration of its sample — as the paper prescribes, so
-  /// its Dashboard stays resident in that core's private cache — and its
-  /// previous affinity mask is restored afterwards (OpenMP reuses worker
-  /// threads across regions; leaking a one-CPU mask would serialize every
-  /// later parallel region). Pinning failures (e.g. inside restrictive
-  /// containers) are silently tolerated.
-  bool pin_threads = true;
   /// Run a background producer thread (see header note).
   bool async = false;
   /// Queue bound for async mode: the producer sleeps while fewer than
@@ -83,10 +75,6 @@ class SubgraphPool {
  public:
   SubgraphPool(const graph::CsrGraph& g, SamplerFactory factory,
                PoolOptions options);
-
-  /// Legacy synchronous constructor (p_inter samplers, inline refills).
-  SubgraphPool(const graph::CsrGraph& g, SamplerFactory factory, int p_inter,
-               std::uint64_t seed, bool pin_threads = true);
 
   /// Stops and joins the producer; subgraphs still queued are discarded.
   ~SubgraphPool();
@@ -156,10 +144,6 @@ class SubgraphPool {
   /// refills in sync mode. This is the sampler's true contribution to the
   /// training critical path.
   double pop_wait_seconds() const EXCLUDES(mu_);
-  /// Producer time spent waiting for queue space (async only) — high
-  /// values mean the pool is over-provisioned, zero means it can barely
-  /// keep up.
-  double producer_idle_seconds() const EXCLUDES(mu_);
 
   /// Pops that found the queue empty after the pool had been filled once
   /// (genuine starvation; excludes the cold start).
@@ -186,7 +170,6 @@ class SubgraphPool {
   std::vector<std::unique_ptr<VertexSampler>> samplers_;
   std::vector<std::unique_ptr<graph::Inducer>> inducers_;
   std::uint64_t seed_;
-  bool pin_threads_;
   bool async_;
   std::size_t capacity_;
 
@@ -213,7 +196,6 @@ class SubgraphPool {
   std::exception_ptr error_ GUARDED_BY(mu_);
   double sample_seconds_ GUARDED_BY(mu_) = 0.0;
   double pop_wait_seconds_ GUARDED_BY(mu_) = 0.0;
-  double producer_idle_seconds_ GUARDED_BY(mu_) = 0.0;
   std::uint64_t stall_count_ GUARDED_BY(mu_) = 0;
   std::uint64_t cold_start_count_ GUARDED_BY(mu_) = 0;
   /// The producer thread handle. Guarded by lifecycle_mu_, NOT mu_: a

@@ -51,7 +51,6 @@ class RetryingClient {
 
   const ClientStats& stats() const { return stats_; }
   bool connected() const { return fd_.valid(); }
-  void disconnect() { fd_.reset(); }
 
  private:
   bool ensure_connected(std::string& err);

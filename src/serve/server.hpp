@@ -99,7 +99,6 @@ class Server {
   void wait();
 
   std::uint16_t port() const { return port_; }
-  std::size_t queue_depth() const { return queue_.depth(); }
 
  private:
   struct Conn {

@@ -52,19 +52,6 @@ const char* gemm_kernel_name();
 /// default of obs::MachineInfo::peak_flops_per_cycle.
 double gemm_peak_flops_per_cycle();
 
-/// The pre-packing rank-1-update/dot kernels the packed GEMM replaced.
-/// Kept as the baseline side of the bench_kernels packed-vs-legacy
-/// comparison (and as an independent implementation for property tests);
-/// not used on any hot path.
-namespace legacy {
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
-             float beta = 0.0f, int threads = 0);
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
-             float beta = 0.0f, int threads = 0);
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
-             float beta = 0.0f, int threads = 0);
-}  // namespace legacy
-
 /// Triple-loop reference implementations (no SIMD, no threading) used by
 /// the tests to validate the optimized kernels bit-for-bit-ish (tolerance
 /// covers FMA contraction differences).

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -41,10 +40,6 @@ class Matrix {
     return *this;
   }
 
-  static Matrix zeros(std::size_t rows, std::size_t cols) {
-    return Matrix(rows, cols);
-  }
-
   /// Glorot/Xavier uniform init: U(-s, s), s = sqrt(6 / (rows + cols)).
   /// The standard GCN weight init (used by the paper's TF reference too).
   static Matrix glorot(std::size_t rows, std::size_t cols,
@@ -70,9 +65,6 @@ class Matrix {
     GSGCN_CHECK_BOUNDS(i, rows_);
     return data_.data() + i * cols_;
   }
-
-  std::span<float> row_span(std::size_t i) { return {row(i), cols_}; }
-  std::span<const float> row_span(std::size_t i) const { return {row(i), cols_}; }
 
   float& operator()(std::size_t i, std::size_t j) {
     GSGCN_CHECK_BOUNDS(j, cols_);

@@ -2,9 +2,9 @@
 // sweep of every fp16 bit pattern), scalar-vs-SIMD bit identity, the
 // int8 per-column error bound, gather == to_dense for every dtype,
 // bit-identity across thread counts and cache sizes, out-of-range
-// pre-scan behaviour, stats accounting, the mmap on-disk round trip and
-// its corruption rejection, and concurrent gathers hammering the shared
-// stats block (run under TSan via the `concurrency` label).
+// pre-scan behaviour, `featstore.*` counter accounting, the mmap on-disk
+// round trip and its corruption rejection, and concurrent gathers bumping
+// the shared counters (run under TSan via the `concurrency` label).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "data/feature_store.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/codec.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
@@ -29,6 +30,14 @@ namespace {
 
 namespace fs = std::filesystem;
 namespace codec = tensor::codec;
+
+/// Current value of a process-wide featstore.* counter. Registering the
+/// name first makes a never-bumped counter read 0 instead of throwing.
+double counter(const std::string& name) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.counter(name);
+  return reg.scrape().counter(name);
+}
 
 std::uint32_t bits_of(float x) {
   std::uint32_t u;
@@ -401,8 +410,9 @@ TEST(FeatureStoreGather, EmptyIndicesIsANoOp) {
   const tensor::Matrix src = random_features(8, 4, 2);
   const FeatureStore store = FeatureStore::view(src);
   tensor::Matrix out(0, 4);
+  const double rows_before = counter("featstore.rows");
   store.gather(std::span<const std::uint32_t>{}, out);
-  EXPECT_EQ(store.stats().gathered_rows, 0u);
+  EXPECT_EQ(counter("featstore.rows"), rows_before);
 }
 
 TEST(FeatureStoreCache, BadHotOrderThrows) {
@@ -414,7 +424,7 @@ TEST(FeatureStoreCache, BadHotOrderThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats accounting.
+// Counter accounting.
 // ---------------------------------------------------------------------------
 
 TEST(FeatureStoreStatsTest, HitMissAndBytesAccounting) {
@@ -431,18 +441,19 @@ TEST(FeatureStoreStatsTest, HitMissAndBytesAccounting) {
   std::vector<std::uint32_t> idx;
   for (std::uint32_t i = 0; i < 100; ++i) idx.push_back(i);  // 50 hits
   tensor::Matrix out(idx.size(), cols);
+  const double rows_before = counter("featstore.rows");
+  const double hits_before = counter("featstore.cache_hits");
+  const double misses_before = counter("featstore.cache_misses");
+  const double bytes_before = counter("featstore.bytes_moved");
   store.gather(idx, out);
 
-  const FeatureStoreStats s = store.stats();
-  EXPECT_EQ(s.gathered_rows, 100u);
-  EXPECT_EQ(s.cache_hits, 50u);
-  EXPECT_EQ(s.cache_misses, 50u);
+  EXPECT_EQ(counter("featstore.rows") - rows_before, 100.0);
+  EXPECT_EQ(counter("featstore.cache_hits") - hits_before, 50.0);
+  EXPECT_EQ(counter("featstore.cache_misses") - misses_before, 50.0);
   // Hits move fp32 both ways (cols*8); misses read the f16 payload and
   // write fp32 (cols*2 + cols*4).
-  EXPECT_EQ(s.bytes_moved, 50u * cols * 8 + 50u * (cols * 2 + cols * 4));
-
-  const_cast<FeatureStore&>(store).reset_stats();
-  EXPECT_EQ(store.stats().gathered_rows, 0u);
+  EXPECT_EQ(counter("featstore.bytes_moved") - bytes_before,
+            static_cast<double>(50u * cols * 8 + 50u * (cols * 2 + cols * 4)));
 }
 
 // ---------------------------------------------------------------------------
@@ -503,13 +514,16 @@ TEST_F(FeatureStoreFileTest, PrefetchCountsOnlyOnMappedStores) {
   FeatureStoreOptions opts;
   const FeatureStore mapped = FeatureStore::open_mmap(file, opts);
   const std::vector<std::uint32_t> idx = {1, 2, 3, 30};
+  double calls = counter("featstore.prefetch_calls");
+  const double bytes = counter("featstore.prefetch_bytes");
   mapped.prefetch(idx);
-  EXPECT_EQ(mapped.stats().prefetch_calls, 1u);
-  EXPECT_GT(mapped.stats().prefetch_bytes, 0u);
+  EXPECT_EQ(counter("featstore.prefetch_calls") - calls, 1.0);
+  EXPECT_GT(counter("featstore.prefetch_bytes") - bytes, 0.0);
 
   const FeatureStore ram = FeatureStore::view(src);
+  calls = counter("featstore.prefetch_calls");
   ram.prefetch(idx);
-  EXPECT_EQ(ram.stats().prefetch_calls, 0u);
+  EXPECT_EQ(counter("featstore.prefetch_calls"), calls);
 }
 
 TEST_F(FeatureStoreFileTest, TruncatedFileIsRejected) {
@@ -572,7 +586,7 @@ TEST_F(FeatureStoreFileTest, MissingFileThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: parallel gathers share one stats block (TSan target).
+// Concurrency: parallel gathers bump the shared counters (TSan target).
 // ---------------------------------------------------------------------------
 
 TEST(FeatureStoreConcurrency, ParallelGathersAreRaceFreeAndDeterministic) {
@@ -586,7 +600,9 @@ TEST(FeatureStoreConcurrency, ParallelGathersAreRaceFreeAndDeterministic) {
   tensor::Matrix expected(128, cols);
   const auto idx = random_indices(128, rows, 41);
   store.gather(idx, expected, 1);
-  const_cast<FeatureStore&>(store).reset_stats();
+  const double rows_before = counter("featstore.rows");
+  const double hits_before = counter("featstore.cache_hits");
+  const double misses_before = counter("featstore.cache_misses");
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 8;
@@ -605,10 +621,11 @@ TEST(FeatureStoreConcurrency, ParallelGathersAreRaceFreeAndDeterministic) {
   for (auto& th : team) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
 
-  const FeatureStoreStats s = store.stats();
-  EXPECT_EQ(s.gathered_rows,
-            static_cast<std::uint64_t>(kThreads) * kRounds * idx.size());
-  EXPECT_EQ(s.cache_hits + s.cache_misses, s.gathered_rows);
+  const double gathered = counter("featstore.rows") - rows_before;
+  EXPECT_EQ(gathered, static_cast<double>(kThreads * kRounds * idx.size()));
+  EXPECT_EQ(counter("featstore.cache_hits") - hits_before +
+                counter("featstore.cache_misses") - misses_before,
+            gathered);
 }
 
 }  // namespace

@@ -28,9 +28,16 @@ SamplerFactory dashboard_factory(const CsrGraph& g) {
   };
 }
 
+PoolOptions sync_options(int p_inter, std::uint64_t seed) {
+  PoolOptions o;
+  o.p_inter = p_inter;
+  o.seed = seed;
+  return o;
+}
+
 TEST(SubgraphPool, PopRefillsWhenEmpty) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pool(g, dashboard_factory(g), 3, 42);
+  SubgraphPool pool(g, dashboard_factory(g), sync_options(3, 42));
   EXPECT_EQ(pool.available(), 0u);
   const auto sub = pool.pop();
   EXPECT_GT(sub.num_vertices(), 0u);
@@ -44,13 +51,13 @@ TEST(SubgraphPool, PopRefillsWhenEmpty) {
 
 TEST(SubgraphPool, RejectsNonPositivePInter) {
   const CsrGraph g = gsgcn::testing::small_er();
-  EXPECT_THROW(SubgraphPool(g, dashboard_factory(g), 0, 1),
+  EXPECT_THROW(SubgraphPool(g, dashboard_factory(g), sync_options(0, 1)),
                std::invalid_argument);
 }
 
 TEST(SubgraphPool, SubgraphsAreValidInducedGraphs) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pool(g, dashboard_factory(g), 4, 7);
+  SubgraphPool pool(g, dashboard_factory(g), sync_options(4, 7));
   for (int i = 0; i < 8; ++i) {
     const auto sub = pool.pop();
     EXPECT_TRUE(sub.graph.validate().empty()) << sub.graph.validate();
@@ -63,7 +70,7 @@ TEST(SubgraphPool, SubgraphsAreValidInducedGraphs) {
 
 TEST(SubgraphPool, DistinctInstancesProduceDistinctSubgraphs) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pool(g, dashboard_factory(g), 4, 11);
+  SubgraphPool pool(g, dashboard_factory(g), sync_options(4, 11));
   const auto a = pool.pop();
   const auto b = pool.pop();
   EXPECT_NE(a.orig_ids, b.orig_ids);
@@ -71,8 +78,8 @@ TEST(SubgraphPool, DistinctInstancesProduceDistinctSubgraphs) {
 
 TEST(SubgraphPool, ReproducibleForFixedSeed) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool p1(g, dashboard_factory(g), 3, 123);
-  SubgraphPool p2(g, dashboard_factory(g), 3, 123);
+  SubgraphPool p1(g, dashboard_factory(g), sync_options(3, 123));
+  SubgraphPool p2(g, dashboard_factory(g), sync_options(3, 123));
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(p1.pop().orig_ids, p2.pop().orig_ids);
   }
@@ -80,19 +87,9 @@ TEST(SubgraphPool, ReproducibleForFixedSeed) {
 
 TEST(SubgraphPool, DifferentSeedsDiffer) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool p1(g, dashboard_factory(g), 2, 1);
-  SubgraphPool p2(g, dashboard_factory(g), 2, 2);
+  SubgraphPool p1(g, dashboard_factory(g), sync_options(2, 1));
+  SubgraphPool p2(g, dashboard_factory(g), sync_options(2, 2));
   EXPECT_NE(p1.pop().orig_ids, p2.pop().orig_ids);
-}
-
-TEST(SubgraphPool, UnpinnedModeMatchesPinned) {
-  // Pinning must not change results (it only affects placement).
-  const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pinned(g, dashboard_factory(g), 2, 77, /*pin_threads=*/true);
-  SubgraphPool loose(g, dashboard_factory(g), 2, 77, /*pin_threads=*/false);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(pinned.pop().orig_ids, loose.pop().orig_ids);
-  }
 }
 
 TEST(SubgraphPool, PoppedSequenceIdenticalAcrossPInter) {
@@ -106,11 +103,11 @@ TEST(SubgraphPool, PoppedSequenceIdenticalAcrossPInter) {
 
   std::vector<std::vector<Vid>> reference;
   {
-    SubgraphPool pool(g, dashboard_factory(g), 1, kSeed);
+    SubgraphPool pool(g, dashboard_factory(g), sync_options(1, kSeed));
     for (int i = 0; i < kPops; ++i) reference.push_back(pool.pop().orig_ids);
   }
   for (const int p_inter : {2, 4}) {
-    SubgraphPool pool(g, dashboard_factory(g), p_inter, kSeed);
+    SubgraphPool pool(g, dashboard_factory(g), sync_options(p_inter, kSeed));
     for (int i = 0; i < kPops; ++i) {
       EXPECT_EQ(pool.pop().orig_ids, reference[static_cast<std::size_t>(i)])
           << "pop " << i << " diverged at p_inter=" << p_inter;
@@ -120,7 +117,7 @@ TEST(SubgraphPool, PoppedSequenceIdenticalAcrossPInter) {
 
 TEST(SubgraphPool, SamplingTimerAccumulates) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pool(g, dashboard_factory(g), 2, 5);
+  SubgraphPool pool(g, dashboard_factory(g), sync_options(2, 5));
   (void)pool.pop();
   EXPECT_GT(pool.sampling_seconds(), 0.0);
   EXPECT_GT(pool.pop_wait_seconds(), 0.0);  // the inline refill is a wait
@@ -134,7 +131,7 @@ TEST(SubgraphPool, SamplingTimerAccumulates) {
 
 TEST(SubgraphPool, FirstFillIsColdStartNotStall) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pool(g, dashboard_factory(g), 2, 5);
+  SubgraphPool pool(g, dashboard_factory(g), sync_options(2, 5));
   EXPECT_EQ(pool.cold_starts(), 0u);
   (void)pool.pop();  // first fill of an empty pool: cold start
   EXPECT_EQ(pool.cold_starts(), 1u);
@@ -148,7 +145,7 @@ TEST(SubgraphPool, FirstFillIsColdStartNotStall) {
 
 TEST(SubgraphPool, PrefillAbsorbsTheColdStart) {
   const CsrGraph g = gsgcn::testing::small_er();
-  SubgraphPool pool(g, dashboard_factory(g), 3, 5);
+  SubgraphPool pool(g, dashboard_factory(g), sync_options(3, 5));
   pool.prefill();
   EXPECT_EQ(pool.available(), 3u);
   EXPECT_EQ(pool.cold_starts(), 1u);
@@ -160,9 +157,7 @@ TEST(SubgraphPool, PrefillAbsorbsTheColdStart) {
 
 PoolOptions async_options(int p_inter, std::uint64_t seed,
                           std::size_t capacity = 0) {
-  PoolOptions o;
-  o.p_inter = p_inter;
-  o.seed = seed;
+  PoolOptions o = sync_options(p_inter, seed);
   o.async = true;
   o.capacity = capacity;
   return o;
@@ -179,7 +174,7 @@ TEST(SubgraphPoolAsync, MatchesSyncSequenceByteForByte) {
 
   std::vector<std::vector<Vid>> reference;
   {
-    SubgraphPool pool(g, dashboard_factory(g), 1, kSeed);
+    SubgraphPool pool(g, dashboard_factory(g), sync_options(1, kSeed));
     for (int i = 0; i < kPops; ++i) reference.push_back(pool.pop().orig_ids);
   }
   for (const int p_inter : {1, 2, 4}) {
@@ -244,7 +239,7 @@ TEST(SubgraphPoolAsync, StopDrainsAndSyncPopsContinueTheSequence) {
   constexpr int kPops = 8;
   std::vector<std::vector<Vid>> reference;
   {
-    SubgraphPool pool(g, dashboard_factory(g), 2, kSeed);
+    SubgraphPool pool(g, dashboard_factory(g), sync_options(2, kSeed));
     for (int i = 0; i < kPops; ++i) reference.push_back(pool.pop().orig_ids);
   }
   SubgraphPool pool(g, dashboard_factory(g), async_options(2, kSeed));
@@ -301,7 +296,7 @@ TEST(SubgraphPoolAsync, ConcurrentLifecycleCallsDoNotRace) {
   // sequence a fresh synchronous pool produces.
   std::vector<std::vector<Vid>> reference;
   {
-    SubgraphPool fresh(g, dashboard_factory(g), 1, 57);
+    SubgraphPool fresh(g, dashboard_factory(g), sync_options(1, 57));
     for (int i = 0; i < 4; ++i) reference.push_back(fresh.pop().orig_ids);
   }
   pool.seek(0);
@@ -360,7 +355,7 @@ TEST(SubgraphPoolSync, ExceptionPropagatesFromInlineRefill) {
   auto factory = [&g](int instance) -> std::unique_ptr<VertexSampler> {
     return std::make_unique<ThrowingSampler>(g, instance);
   };
-  SubgraphPool pool(g, factory, 2, 5);
+  SubgraphPool pool(g, factory, sync_options(2, 5));
   EXPECT_GT(pool.pop().num_vertices(), 0u);
   EXPECT_GT(pool.pop().num_vertices(), 0u);
   EXPECT_THROW((void)pool.pop(), std::runtime_error);

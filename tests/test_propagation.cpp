@@ -343,21 +343,6 @@ TEST_P(AggregatorSweep, Propagate2dMatchesPlain) {
   EXPECT_LT(Matrix::max_abs_diff(out, ref), 1e-4f);
 }
 
-TEST_P(AggregatorSweep, LegacyKernelsMatchTiled) {
-  const CsrGraph g = gsgcn::testing::small_er(120, 600, 46);
-  const Matrix in = random_features(120, 24, 47);
-  Matrix tiled_out(120, 24), legacy_out(120, 24);
-  FeaturePartitionOptions opts;
-  opts.threads = 2;
-  opts.aggregator = GetParam();
-  propagate_feature_partitioned(g, in, tiled_out, opts);
-  legacy::propagate_feature_partitioned(g, in, legacy_out, opts);
-  EXPECT_LT(Matrix::max_abs_diff(tiled_out, legacy_out), 1e-4f);
-  propagate_feature_partitioned_backward(g, in, tiled_out, opts);
-  legacy::propagate_feature_partitioned_backward(g, in, legacy_out, opts);
-  EXPECT_LT(Matrix::max_abs_diff(tiled_out, legacy_out), 1e-4f);
-}
-
 // ---- adjoint property on every kernel path --------------------------------
 
 // ⟨Ax, y⟩ must equal ⟨x, Aᵀy⟩ whichever kernel computes A. The graph keeps
