@@ -96,15 +96,13 @@ struct Triad {
     float* pa = a.data();
     const float* pb = b.data();
     const float* pc = c.data();
-    const std::size_t n = a.size();
-    const auto t = static_cast<std::size_t>(threads);
-    util::parallel_for(threads, threads, [=](std::int64_t i) {
-      const auto block = static_cast<std::size_t>(i);
-      const std::size_t end = n * (block + 1) / t;
-      for (std::size_t j = n * block / t; j < end; ++j) {
-        pa[j] = pb[j] + 3.0f * pc[j];
-      }
-    });
+    util::parallel_for_ranges(
+        static_cast<std::int64_t>(a.size()), threads,
+        [=](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t j = begin; j < end; ++j) {
+            pa[j] = pb[j] + 3.0f * pc[j];
+          }
+        });
   }
 };
 

@@ -5,7 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <fstream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/perf.hpp"
@@ -54,6 +57,27 @@ inline void set_measured_counters(benchmark::State& state,
   }
 }
 
+/// Distinct (package, core) pairs over the CPUs' sysfs topology; fewer
+/// than the logical CPU count means SMT siblings. 0 when sysfs is
+/// unreadable. The perf gates bind their floors to this count.
+inline int physical_cores() {
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path);
+    std::string value;
+    in >> value;
+    return value;
+  };
+  std::set<std::pair<std::string, std::string>> cores;
+  for (int cpu = 0;; ++cpu) {
+    const std::string dir = "/sys/devices/system/cpu/cpu" +
+                            std::to_string(cpu) + "/topology/";
+    const std::string core = read(dir + "core_id");
+    if (core.empty()) break;
+    cores.emplace(read(dir + "physical_package_id"), core);
+  }
+  return static_cast<int>(cores.size());
+}
+
 /// Expanded BENCHMARK_MAIN() honouring GSGCN_JSON_OUT: when the env var
 /// names a directory, inject google-benchmark's JSON reporter flags so
 /// the binary emits <json_basename> next to the other benches'
@@ -84,6 +108,8 @@ inline int gbench_main(int argc, char** argv, const char* json_basename) {
   benchmark::AddCustomContext("l2_bytes", std::to_string(mi.l2_bytes));
   benchmark::AddCustomContext("l3_bytes", std::to_string(mi.l3_bytes));
   benchmark::AddCustomContext("gemm_kernel", mi.gemm_kernel);
+  benchmark::AddCustomContext("physical_cores",
+                              std::to_string(physical_cores()));
   benchmark::AddCustomContext(
       "pmu_available", obs::perf_counters_available() ? "true" : "false");
   benchmark::RunSpecifiedBenchmarks();

@@ -410,24 +410,21 @@ int main(int argc, char** argv) {
 
     // Gather-path traffic accounting from the process-wide featstore.*
     // counters (every gather in this process went to the store that fed
-    // training). Registering a name first makes an unbumped one read 0.
+    // training).
     const data::FeatureStore* fs =
         mmap_store ? mmap_store.get() : trainer.feature_store();
     if (fs != nullptr) {
-      obs::Registry& reg = obs::Registry::instance();
-      const auto counter = [&reg](const char* name) {
-        reg.counter(name);
-        return reg.scrape().counter(name);
-      };
-      const double rows = counter("featstore.rows");
+      const obs::MetricsSnapshot snap = obs::Registry::instance().scrape();
+      const double rows = snap.counter("featstore.rows");
       std::printf(
           "feature gathers: %llu rows (%s), %.1f%% cache hits, "
           "%.1f MB moved, %.1f MB prefetch hints\n",
           static_cast<unsigned long long>(rows),
           data::feature_dtype_name(fs->dtype()),
-          rows > 0.0 ? 100.0 * counter("featstore.cache_hits") / rows : 0.0,
-          counter("featstore.bytes_moved") / (1024.0 * 1024.0),
-          counter("featstore.prefetch_bytes") / (1024.0 * 1024.0));
+          rows > 0.0 ? 100.0 * snap.counter("featstore.cache_hits") / rows
+                     : 0.0,
+          snap.counter("featstore.bytes_moved") / (1024.0 * 1024.0),
+          snap.counter("featstore.prefetch_bytes") / (1024.0 * 1024.0));
     }
 
     // ---- observability artifacts ----

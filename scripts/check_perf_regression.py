@@ -33,7 +33,17 @@ Modes (combinable):
       fraction of what the runner can do, with both sides measured in
       one process: frac_peak (GFLOP/s over ISA flops/cycle x reported
       clock x threads) and frac_triad (modeled GB/s over a warm STREAM
-      triad timed in the same round-robin).
+      triad timed in the same round-robin). Every matched entry must
+      also carry a positive METRIC.
+
+  Host binding       --floor-host KEY=VALUE ...
+      Binds every --floor to the hardware it was calibrated on: each
+      rule is checked against the bench JSON's "context" block (e.g.
+      gemm_kernel, num_cpus, physical_cores, l3_bytes). What fraction
+      of its ceiling a kernel reaches depends on the core count, SMT,
+      the reported clock and the caches, so on a host that differs in
+      any rule the floors are reported but not enforced; the positive-
+      METRIC check still runs.
 
 Entries are keyed by benchmark name (google-benchmark) or by the record
 "kind" plus the values of --key fields (JsonEmitter). Metrics are any
@@ -43,7 +53,8 @@ measured_gbps, cycles_per_iter, frac_peak_measured) — a PMU-less runner
 must not fail the gate for reporting no hardware counters.
 
   check_perf_regression.py current.json --baseline BENCH_kernels.json \\
-      --metric GFLOPS:higher:0.5 --floor BM_GemmPacked:frac_peak:0.39
+      --metric GFLOPS:higher:0.5 --floor BM_GemmPacked:frac_peak:0.39 \\
+      --floor-host gemm_kernel=avx512-12x32 --floor-host physical_cores=4
 
   check_perf_regression.py --self-test
 """
@@ -103,6 +114,11 @@ def load_entries(doc, key_fields):
 def load_file(path, key_fields):
     with open(path) as f:
         return load_entries(json.load(f), key_fields)
+
+
+def load_context(doc):
+    """Host description: google-benchmark's "context" block."""
+    return doc.get("context", {})
 
 
 def has_pmu(metrics):
@@ -211,20 +227,38 @@ def parse_floor_rule(spec):
     return parts[0], parts[1], float(parts[2])
 
 
-def check_floor(current, prefix, metric, floor, out):
+def parse_host_rule(spec):
+    key, sep, want = spec.partition("=")
+    if not key or not sep or not want:
+        raise ValueError(f"bad --floor-host '{spec}': expected KEY=VALUE")
+    return key, want
+
+
+def host_mismatches(context, rules):
+    """The rules the host in `context` breaks, as readable strings."""
+    return [f"{key}={context.get(key)} (calibrated for {key}={want})"
+            for key, want in rules if str(context.get(key)) != want]
+
+
+def check_floor(current, prefix, metric, floor, out, enforce=True):
     values = sorted((key, m[metric]) for key, m in current.items()
                     if key.startswith(prefix) and metric in m)
     if not values:
         return [f"floor {prefix}: no entries carry metric '{metric}'"]
+    failures = []
     for key, v in values:
         out(f"  {key:<40} {metric}: {v:.4g}")
+        if not v > 0:
+            failures.append(f"floor {prefix}: entry '{key}' {metric} {v:.4g} "
+                            "is not positive")
     median = statistics.median(v for _, v in values)
     out(f"floor {prefix} median {metric} over {len(values)} entries: "
-        f"{median:.4g} (floor {floor:.4g})")
-    if median < floor:
-        return [f"floor {prefix}: median {metric} {median:.4g} below "
-                f"floor {floor:.4g}"]
-    return []
+        f"{median:.4g} (floor {floor:.4g}"
+        f"{'' if enforce else ', not enforced on this host'})")
+    if enforce and median < floor:
+        failures.append(f"floor {prefix}: median {metric} {median:.4g} "
+                        f"below floor {floor:.4g}")
+    return failures
 
 
 def self_test():
@@ -278,6 +312,43 @@ def self_test():
     assert check_floor(fracs, "BM_Baz/", "frac", 0.1, quiet) != []
     assert check_floor(fracs, "BM_Bar/", "nope", 0.1, quiet) != []
     assert parse_floor_rule("BM_Bar/:frac:0.5") == ("BM_Bar/", "frac", 0.5)
+    # A zero entry fails even when the median clears the floor.
+    zeroed = dict(fracs, **{"BM_Bar/4": {"frac": 0.0},
+                            "BM_Bar/5": {"frac": 0.6}})
+    fails = check_floor(zeroed, "BM_Bar/", "frac", 0.45, quiet)
+    assert len(fails) == 1 and "not positive" in fails[0], fails
+
+    # Host binding: a host that breaks a rule gets the floor reported,
+    # not enforced, but a missing or zero metric still fails there.
+    rules = [parse_host_rule("gemm_kernel=avx512-12x32"),
+             parse_host_rule("physical_cores=4"),
+             parse_host_rule("l3_bytes=4096")]
+    assert rules[2] == ("l3_bytes", "4096"), rules
+    calibrated = {"gemm_kernel": "avx512-12x32", "physical_cores": "4",
+                  "l3_bytes": "4096"}
+    assert host_mismatches(calibrated, rules) == []
+    assert load_context({"context": calibrated, "benchmarks": []}) == \
+        calibrated
+    smt = dict(calibrated, physical_cores="2")
+    other_isa = dict(calibrated, gemm_kernel="avx2-6x16")
+    small_llc = dict(calibrated, l3_bytes="512")
+    for host in (smt, other_isa, small_llc, {}):
+        assert len(host_mismatches(host, rules)) >= 1, host
+    # google-benchmark writes num_cpus as a JSON int, custom keys as
+    # strings; both compare as text.
+    assert host_mismatches({"num_cpus": 4}, [("num_cpus", "4")]) == []
+    assert check_floor(fracs, "BM_Bar/", "frac", 0.55, quiet,
+                       enforce=False) == []
+    assert check_floor(zeroed, "BM_Bar/", "frac", 0.1, quiet,
+                       enforce=False) != []
+    assert check_floor(fracs, "BM_Baz/", "frac", 0.1, quiet,
+                       enforce=False) != []
+    for bad_rule in ("gemm_kernel", "=x", "l3_bytes="):
+        try:
+            parse_host_rule(bad_rule)
+            raise AssertionError(f"'{bad_rule}' must not parse")
+        except ValueError:
+            pass
 
     # Baseline diff: 10% regression passes tol 0.8, fails tol 0.95.
     base = {k: dict(v) for k, v in cur.items()}
@@ -373,6 +444,11 @@ def main():
                     help="require the median METRIC over entries named "
                          "PREFIX* to be >= MIN, e.g. "
                          "BM_GemmPacked:frac_peak:0.39")
+    ap.add_argument("--floor-host", action="append", default=[],
+                    metavar="KEY=VALUE",
+                    help="enforce the --floor rules only on a host whose "
+                         "bench JSON context satisfies every rule; "
+                         "elsewhere they are reported")
     ap.add_argument("--self-test", action="store_true",
                     help="run the built-in unit tests and exit")
     args = ap.parse_args()
@@ -385,7 +461,9 @@ def main():
         ap.error("nothing to check: give --baseline, --pair and/or --floor")
 
     key_fields = [k for k in args.key.split(",") if k]
-    current = load_file(args.current, key_fields)
+    with open(args.current) as f:
+        current_doc = json.load(f)
+    current = load_entries(current_doc, key_fields)
     failures = []
 
     if args.pair:
@@ -396,8 +474,15 @@ def main():
                                 args.pair_metric, args.min_pair_ratio,
                                 print, args.min_each_pair_ratio)
 
+    broken = host_mismatches(load_context(current_doc),
+                             [parse_host_rule(r) for r in args.floor_host])
+    if args.floor and broken:
+        for b in broken:
+            print(f"host differs from the floors' calibration: {b}")
+        print("floors below are reported, not enforced")
     for spec in args.floor:
-        failures += check_floor(current, *parse_floor_rule(spec), print)
+        failures += check_floor(current, *parse_floor_rule(spec), print,
+                                enforce=not broken)
 
     if args.baseline:
         rules = [parse_metric_rule(s) for s in args.metric]

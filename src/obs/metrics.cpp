@@ -413,7 +413,7 @@ double MetricsSnapshot::counter(const std::string& name) const {
   for (const auto& [n, v] : counters) {
     if (n == name) return v;
   }
-  throw std::out_of_range("MetricsSnapshot: no counter '" + name + "'");
+  return 0.0;
 }
 
 const GaugeSnapshot& MetricsSnapshot::gauge(const std::string& name) const {

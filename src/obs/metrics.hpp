@@ -68,7 +68,9 @@ struct MetricsSnapshot {
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string to_json() const;
-  /// Lookup helpers for tests; throw std::out_of_range on unknown names.
+  /// Lookup helpers. A counter nobody registered reads 0, as one that
+  /// was never bumped does; unknown gauges and histograms throw
+  /// std::out_of_range.
   double counter(const std::string& name) const;
   const GaugeSnapshot& gauge(const std::string& name) const;
   const HistogramSnapshot& histogram(const std::string& name) const;

@@ -31,12 +31,9 @@ namespace {
 namespace fs = std::filesystem;
 namespace codec = tensor::codec;
 
-/// Current value of a process-wide featstore.* counter. Registering the
-/// name first makes a never-bumped counter read 0 instead of throwing.
+/// Current value of a process-wide featstore.* counter.
 double counter(const std::string& name) {
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter(name);
-  return reg.scrape().counter(name);
+  return obs::Registry::instance().scrape().counter(name);
 }
 
 std::uint32_t bits_of(float x) {

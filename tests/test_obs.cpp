@@ -84,6 +84,8 @@ TEST(Metrics, CounterAccumulatesAcrossScrapes) {
   EXPECT_DOUBLE_EQ(reg.scrape().counter("t.counter"), 6.0);
   reg.reset();
   EXPECT_DOUBLE_EQ(reg.scrape().counter("t.counter"), 0.0);
+  // A name nobody registered reads 0, like a counter never bumped.
+  EXPECT_DOUBLE_EQ(reg.scrape().counter("t.never.registered"), 0.0);
 }
 
 TEST(Metrics, GaugeLastWriteWins) {
