@@ -10,7 +10,7 @@
 #include <algorithm>
 
 #include "baselines/fullbatch.hpp"
-#include "baselines/graphsage.hpp"
+#include "baselines/layer_sampling.hpp"
 #include "bench_common.hpp"
 #include "gcn/trainer.hpp"
 
@@ -65,14 +65,14 @@ int main() {
       series.push_back({"graph-sampling (ours)", t.train()});
     }
     {
-      baselines::SageConfig cfg;
+      baselines::LayerSamplingConfig cfg;
       cfg.hidden_dim = 64;
       cfg.epochs = 6;
       cfg.batch_size = 512;
       cfg.fanout = 10;
       cfg.threads = 1;
       cfg.seed = seed;
-      baselines::GraphSageTrainer t(ds, cfg);
+      baselines::LayerSamplingTrainer t(ds, cfg);
       series.push_back({"GraphSAGE (layer sampling)", t.train()});
     }
     {

@@ -7,7 +7,7 @@
 // ratios isolate the *algorithmic* gap — expect large growth with depth,
 // smaller absolute numbers).
 
-#include "baselines/graphsage.hpp"
+#include "baselines/layer_sampling.hpp"
 #include "bench_common.hpp"
 #include "gcn/trainer.hpp"
 
@@ -35,7 +35,7 @@ bench::TimingStats ours_epoch_stats(const data::Dataset& ds, int layers,
 /// Per-epoch timing of the layer-sampling baseline at (layers, threads).
 bench::TimingStats sage_epoch_stats(const data::Dataset& ds, int layers,
                                     int threads) {
-  baselines::SageConfig cfg;
+  baselines::LayerSamplingConfig cfg;
   cfg.hidden_dim = 64;
   cfg.num_layers = layers;
   cfg.epochs = 1;
@@ -44,7 +44,7 @@ bench::TimingStats sage_epoch_stats(const data::Dataset& ds, int layers,
   cfg.threads = threads;
   cfg.seed = util::global_seed();
   cfg.eval_every_epoch = false;
-  baselines::GraphSageTrainer t(ds, cfg);
+  baselines::LayerSamplingTrainer t(ds, cfg);
   return bench::timing_stats([&] { (void)t.train(); }, layers >= 3 ? 1 : 2);
 }
 

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "baselines/graphsage.hpp"
+#include "baselines/layer_sampling.hpp"
 #include "data/synthetic.hpp"
 #include "gcn/trainer.hpp"
 #include "util/cli.hpp"
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
             .cell(r.iterations);
       }
       {
-        baselines::SageConfig sc;
+        baselines::LayerSamplingConfig sc;
         sc.hidden_dim = 32;
         sc.num_layers = layers;
         sc.epochs = epochs;
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
         sc.threads = util::max_threads();
         sc.seed = dp.seed;
         sc.eval_every_epoch = false;
-        baselines::GraphSageTrainer trainer(ds, sc);
+        baselines::LayerSamplingTrainer trainer(ds, sc);
         const auto r = trainer.train();
         table.row()
             .cell(layers)

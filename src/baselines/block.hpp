@@ -26,21 +26,18 @@ class BipartiteBlock {
 
   std::size_t num_src() const { return num_src_; }
   std::size_t num_dst() const { return offsets_.size() - 1; }
-  std::int64_t num_edges() const {
-    return static_cast<std::int64_t>(indices_.size());
-  }
   bool weighted() const { return !weights_.empty(); }
 
   /// out[v] = mean_{u ∈ N(v)} in[u]          (unweighted)
   /// out[v] = Σ_{u ∈ N(v)} w(v,u) · in[u]    (weighted)
   /// in: num_src x f, out: num_dst x f.
   void forward(const tensor::Matrix& in, tensor::Matrix& out,
-               int threads = 0) const;
+               int threads) const;
 
   /// Transposed operator for gradients: d_in: num_src x f (overwritten),
   /// d_out: num_dst x f.
   void backward(const tensor::Matrix& d_out, tensor::Matrix& d_in,
-                int threads = 0) const;
+                int threads) const;
 
   /// Consistency: monotone offsets, indices in range. Empty when valid.
   std::string validate() const;

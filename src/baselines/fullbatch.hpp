@@ -5,21 +5,12 @@
 // neighbor explosion — but each gradient step costs a full epoch, which
 // is the slow-convergence regime Figure 2 demonstrates.
 
-#include <memory>
-
-#include "data/dataset.hpp"
-#include "gcn/trainer.hpp"
+#include "baselines/setup.hpp"
 
 namespace gsgcn::baselines {
 
-struct FullBatchConfig {
-  std::size_t hidden_dim = 128;
-  int num_layers = 2;
-  float lr = 0.01f;
-  int epochs = 50;  // one weight update per epoch, so more epochs
-  int threads = 1;
-  std::uint64_t seed = 1;
-  bool eval_every_epoch = true;
+struct FullBatchConfig : BaselineConfig {
+  FullBatchConfig() { epochs = 50; }  // one weight update per epoch
 };
 
 class FullBatchTrainer {
@@ -27,26 +18,10 @@ class FullBatchTrainer {
   FullBatchTrainer(const data::Dataset& dataset, const FullBatchConfig& config);
 
   gcn::TrainResult train();
-  double evaluate(const std::vector<graph::Vid>& subset);
-
-  gcn::GcnModel& model() { return *model_; }
 
  private:
-  const data::Dataset& ds_;
-  FullBatchConfig cfg_;
-
-  graph::CsrGraph train_graph_;
-  std::vector<graph::Vid> train_orig_;
-  tensor::Matrix train_features_;
-  tensor::Matrix train_labels_;
-
-  std::unique_ptr<gcn::GcnModel> model_;
-  std::unique_ptr<gcn::Adam> opt_;
-
+  TrainingSetup setup_;
   tensor::Matrix d_logits_;
-  tensor::Matrix eval_pred_;
-  tensor::Matrix subset_pred_;
-  tensor::Matrix subset_truth_;
 };
 
 }  // namespace gsgcn::baselines

@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "gcn/loss.hpp"
+#include "gcn/metrics.hpp"
+#include "obs/trace.hpp"
 #include "propagation/feature_partitioned.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -53,6 +56,22 @@ const tensor::Matrix& infer_logits(const GcnModel& model,
                         {model.bias_cls().data(), model.bias_cls().cols()},
                         threads);
   return scratch.logits;
+}
+
+double evaluate_f1(const GcnModel& model, const data::Dataset& ds,
+                   const std::vector<graph::Vid>& subset,
+                   EvalScratch& scratch, int threads) {
+  if (subset.empty()) return 0.0;
+  GSGCN_TRACE_SPAN_ID("train/evaluate", subset.size());
+  const tensor::Matrix& logits =
+      infer_logits(model, ds.graph, ds.features, scratch.infer, threads);
+  ensure_shape(scratch.pred, logits.rows(), logits.cols());
+  predict(ds.mode, logits, scratch.pred);
+  ensure_shape(scratch.subset_pred, subset.size(), logits.cols());
+  ensure_shape(scratch.subset_truth, subset.size(), logits.cols());
+  tensor::gather_rows(scratch.pred, subset, scratch.subset_pred, threads);
+  tensor::gather_rows(ds.labels, subset, scratch.subset_truth, threads);
+  return f1_micro(scratch.subset_pred, scratch.subset_truth);
 }
 
 }  // namespace gsgcn::gcn

@@ -34,14 +34,14 @@ class GcnModel {
   /// enables dropout. Each step runs in an obs::PhaseScope; the
   /// classifier head's scopes carry layer id num_layers.
   const tensor::Matrix& forward(const graph::CsrGraph& g,
-                                const tensor::Matrix& x, int threads = 0,
+                                const tensor::Matrix& x, int threads,
                                 bool training = false);
 
   /// Backward from dL/dlogits; fills all parameter gradients. The first
   /// layer computes only its weight gradients (GraphConvLayer::
   /// backward_weights): the gradient of `x` is never formed.
   void backward(const graph::CsrGraph& g, const tensor::Matrix& d_logits,
-                int threads = 0);
+                int threads);
 
   /// Register every parameter with `opt` (once) …
   void attach(Adam& opt);

@@ -10,7 +10,6 @@
 #include "gcn/checkpoint.hpp"
 #include "gcn/inference.hpp"
 #include "gcn/loss.hpp"
-#include "gcn/metrics.hpp"
 #include "graph/reorder.hpp"
 #include "graph/subgraph.hpp"
 #include "obs/metrics.hpp"
@@ -652,20 +651,7 @@ void Trainer::emit_run_summary(const TrainResult& result) const {
 }
 
 double Trainer::evaluate(const std::vector<graph::Vid>& subset) {
-  if (subset.empty()) return 0.0;
-  GSGCN_TRACE_SPAN_ID("train/evaluate", subset.size());
-  // Cache-free full-graph inference: identical numerics to model forward
-  // in eval mode, but it does not disturb the training buffers.
-  const tensor::Matrix& logits =
-      infer_logits(*model_, ds_.graph, ds_.features, infer_scratch_,
-                   cfg_.threads);
-  ensure_shape(eval_pred_, logits.rows(), logits.cols());
-  predict(ds_.mode, logits, eval_pred_);
-  ensure_shape(subset_pred_, subset.size(), logits.cols());
-  ensure_shape(subset_truth_, subset.size(), logits.cols());
-  tensor::gather_rows(eval_pred_, subset, subset_pred_, cfg_.threads);
-  tensor::gather_rows(ds_.labels, subset, subset_truth_, cfg_.threads);
-  return f1_micro(subset_pred_, subset_truth_);
+  return evaluate_f1(*model_, ds_, subset, eval_, cfg_.threads);
 }
 
 }  // namespace gsgcn::gcn

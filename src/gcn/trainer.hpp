@@ -240,10 +240,7 @@ class Trainer {
   tensor::Matrix batch_features_;
   tensor::Matrix batch_labels_;
   tensor::Matrix d_logits_;
-  tensor::Matrix eval_pred_;
-  tensor::Matrix subset_pred_;
-  tensor::Matrix subset_truth_;
-  InferenceScratch infer_scratch_;
+  EvalScratch eval_;
 };
 
 }  // namespace gsgcn::gcn

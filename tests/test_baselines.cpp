@@ -1,7 +1,8 @@
 // Baseline tests: BipartiteBlock kernels (hand values, adjointness,
 // weighted mode), GraphSAGE batch construction invariants + neighbor
-// explosion, FastGCN importance estimator unbiasedness, and that all
-// three baseline trainers actually learn.
+// explosion, FastGCN importance estimator unbiasedness, that all three
+// baseline trainers actually learn, and that they give bit-identical
+// results at any thread count with every step op in the phase ledger.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,8 @@
 #include <set>
 
 #include "baselines/block.hpp"
-#include "baselines/fastgcn.hpp"
 #include "baselines/fullbatch.hpp"
-#include "baselines/graphsage.hpp"
+#include "baselines/layer_sampling.hpp"
 #include "data/synthetic.hpp"
 #include "graph/subgraph.hpp"
 #include "tensor/ops.hpp"
@@ -22,14 +22,15 @@ namespace {
 
 using tensor::Matrix;
 
-data::Dataset easy_dataset(std::uint64_t seed = 21) {
+data::Dataset easy_dataset(std::uint64_t seed = 21,
+                           double feature_signal = 1.5) {
   data::SyntheticParams p;
   p.num_vertices = 700;
   p.num_classes = 4;
   p.feature_dim = 20;
   p.avg_degree = 12.0;
   p.homophily = 20.0;
-  p.feature_signal = 1.5;
+  p.feature_signal = feature_signal;
   p.mode = data::LabelMode::kSingle;
   p.seed = seed;
   return data::make_synthetic(p);
@@ -43,7 +44,7 @@ TEST(Block, MeanForwardByHand) {
   in(1, 0) = 100.0f;
   in(2, 0) = 4.0f;
   Matrix out(2, 1);
-  block.forward(in, out);
+  block.forward(in, out, 1);
   EXPECT_FLOAT_EQ(out(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(out(1, 0), 0.0f);
 }
@@ -54,7 +55,7 @@ TEST(Block, WeightedForwardByHand) {
   in(0, 0) = 4.0f;
   in(1, 0) = 8.0f;
   Matrix out(1, 1);
-  block.forward(in, out);
+  block.forward(in, out, 1);
   EXPECT_FLOAT_EQ(out(0, 0), 0.25f * 4.0f + 0.75f * 8.0f);
 }
 
@@ -66,7 +67,7 @@ TEST(Block, DuplicateIndicesActAsMultiplicity) {
   in(0, 0) = 3.0f;
   in(1, 0) = 9.0f;
   Matrix out(1, 1);
-  block.forward(in, out);
+  block.forward(in, out, 1);
   EXPECT_FLOAT_EQ(out(0, 0), (3.0f + 3.0f + 9.0f) / 3.0f);
 }
 
@@ -79,8 +80,8 @@ TEST(Block, BackwardIsAdjoint) {
   const Matrix x = Matrix::gaussian(5, 6, 1.0f, rng);
   const Matrix y = Matrix::gaussian(4, 6, 1.0f, rng);
   Matrix ax(4, 6), aty(5, 6);
-  block.forward(x, ax);
-  block.backward(y, aty);
+  block.forward(x, ax, 1);
+  block.backward(y, aty, 1);
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < ax.size(); ++i) {
     lhs += static_cast<double>(ax.data()[i]) * y.data()[i];
@@ -100,8 +101,8 @@ TEST(Block, WeightedBackwardIsAdjoint) {
   const Matrix x = Matrix::gaussian(3, 4, 1.0f, rng);
   const Matrix y = Matrix::gaussian(2, 4, 1.0f, rng);
   Matrix ax(2, 4), aty(3, 4);
-  block.forward(x, ax);
-  block.backward(y, aty);
+  block.forward(x, ax, 1);
+  block.backward(y, aty, 1);
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < ax.size(); ++i) {
     lhs += static_cast<double>(ax.data()[i]) * y.data()[i];
@@ -133,13 +134,13 @@ TEST(Block, RejectsMalformed) {
 
 TEST(Sage, BatchPrefixProperty) {
   const data::Dataset ds = easy_dataset();
-  SageConfig cfg;
+  LayerSamplingConfig cfg;
   cfg.num_layers = 2;
   cfg.fanout = 4;
-  GraphSageTrainer trainer(ds, cfg);
+  LayerSamplingTrainer trainer(ds, cfg);
   util::Xoshiro256 rng(5);
   const std::vector<graph::Vid> batch = {0, 1, 2, 3, 4};
-  const SageBatch b = trainer.sample_batch(batch, rng);
+  const LayerBatch b = trainer.sample_batch(batch, rng);
   ASSERT_EQ(b.nodes.size(), 3u);
   ASSERT_EQ(b.blocks.size(), 2u);
   EXPECT_EQ(b.nodes[2], batch);
@@ -163,12 +164,12 @@ TEST(Sage, BatchPrefixProperty) {
 
 TEST(Sage, NodeListsAreDeduplicated) {
   const data::Dataset ds = easy_dataset();
-  SageConfig cfg;
+  LayerSamplingConfig cfg;
   cfg.num_layers = 2;
   cfg.fanout = 8;
-  GraphSageTrainer trainer(ds, cfg);
+  LayerSamplingTrainer trainer(ds, cfg);
   util::Xoshiro256 rng(6);
-  const SageBatch b = trainer.sample_batch({1, 2, 3, 4, 5, 6, 7, 8}, rng);
+  const LayerBatch b = trainer.sample_batch({1, 2, 3, 4, 5, 6, 7, 8}, rng);
   for (const auto& layer : b.nodes) {
     std::set<graph::Vid> s(layer.begin(), layer.end());
     EXPECT_EQ(s.size(), layer.size());
@@ -181,11 +182,11 @@ TEST(Sage, NeighborExplosionGrowsWithDepth) {
   util::Xoshiro256 rng(7);
   std::vector<std::size_t> support;
   for (const int layers : {1, 2, 3}) {
-    SageConfig cfg;
+    LayerSamplingConfig cfg;
     cfg.num_layers = layers;
     cfg.fanout = 5;
-    GraphSageTrainer trainer(ds, cfg);
-    const SageBatch b = trainer.sample_batch({0, 1, 2, 3}, rng);
+    LayerSamplingTrainer trainer(ds, cfg);
+    const LayerBatch b = trainer.sample_batch({0, 1, 2, 3}, rng);
     support.push_back(b.nodes[0].size());
   }
   EXPECT_GT(support[1], 2 * support[0] / 2);  // strictly growing …
@@ -195,12 +196,12 @@ TEST(Sage, NeighborExplosionGrowsWithDepth) {
 
 TEST(Sage, TrainStepReducesLossOverIterations) {
   const data::Dataset ds = easy_dataset();
-  SageConfig cfg;
+  LayerSamplingConfig cfg;
   cfg.epochs = 3;
   cfg.batch_size = 128;
   cfg.fanout = 5;
   cfg.seed = 2;
-  GraphSageTrainer trainer(ds, cfg);
+  LayerSamplingTrainer trainer(ds, cfg);
   const gcn::TrainResult r = trainer.train();
   ASSERT_GE(r.history.size(), 2u);
   EXPECT_LT(r.history.back().train_loss, r.history.front().train_loss);
@@ -209,8 +210,9 @@ TEST(Sage, TrainStepReducesLossOverIterations) {
 
 TEST(FastGcn, ImportanceDistributionNormalized) {
   const data::Dataset ds = easy_dataset();
-  FastGcnConfig cfg;
-  FastGcnTrainer trainer(ds, cfg);
+  LayerSamplingConfig cfg;
+  cfg.sampler = LayerSampler::kFastGcn;
+  LayerSamplingTrainer trainer(ds, cfg);
   double total = 0.0;
   for (const double q : trainer.importance()) {
     EXPECT_GE(q, 0.0);
@@ -222,10 +224,11 @@ TEST(FastGcn, ImportanceDistributionNormalized) {
 TEST(FastGcn, EstimatorIsUnbiased) {
   // E[block.forward] over samples must equal the exact mean aggregation.
   const data::Dataset ds = easy_dataset(33);
-  FastGcnConfig cfg;
+  LayerSamplingConfig cfg;
+  cfg.sampler = LayerSampler::kFastGcn;
   cfg.num_layers = 1;
   cfg.layer_samples = 64;
-  FastGcnTrainer trainer(ds, cfg);
+  LayerSamplingTrainer trainer(ds, cfg);
 
   // Exact mean aggregation on the training graph for the probe vertices.
   graph::Inducer inducer(ds.graph);
@@ -252,11 +255,11 @@ TEST(FastGcn, EstimatorIsUnbiased) {
   Matrix mean_est(probe.size(), ds.feature_dim());
   const int draws = 300;
   for (int t = 0; t < draws; ++t) {
-    const FastGcnBatch b = trainer.sample_batch(probe, rng);
+    const LayerBatch b = trainer.sample_batch(probe, rng);
     Matrix in(b.nodes[0].size(), ds.feature_dim());
     tensor::gather_rows(feats, b.nodes[0], in);
     Matrix out(probe.size(), ds.feature_dim());
-    b.blocks[0].forward(in, out);
+    b.blocks[0].forward(in, out, 1);
     tensor::add_scaled(mean_est, out, 1.0f);
   }
   tensor::scale_inplace(mean_est, 1.0f / draws);
@@ -266,11 +269,12 @@ TEST(FastGcn, EstimatorIsUnbiased) {
 
 TEST(FastGcn, Trains) {
   const data::Dataset ds = easy_dataset();
-  FastGcnConfig cfg;
+  LayerSamplingConfig cfg;
+  cfg.sampler = LayerSampler::kFastGcn;
   cfg.epochs = 3;
   cfg.batch_size = 128;
   cfg.layer_samples = 192;
-  FastGcnTrainer trainer(ds, cfg);
+  LayerSamplingTrainer trainer(ds, cfg);
   const gcn::TrainResult r = trainer.train();
   EXPECT_LT(r.history.back().train_loss, r.history.front().train_loss);
   EXPECT_GT(r.final_val_f1, 0.4);
@@ -287,14 +291,71 @@ TEST(FullBatch, Trains) {
   EXPECT_EQ(r.iterations, 25);
 }
 
+/// GraphSAGE, FastGCN and full-batch at `threads`, at a width where
+/// layer 1's GEMMs span more than one 256-wide K block (2 · 300 = 600).
+std::vector<gcn::TrainResult> train_baselines(const data::Dataset& ds,
+                                              int threads) {
+  std::vector<gcn::TrainResult> results;
+  for (const LayerSampler sampler :
+       {LayerSampler::kGraphSage, LayerSampler::kFastGcn}) {
+    LayerSamplingConfig cfg;
+    cfg.sampler = sampler;
+    cfg.hidden_dim = 300;
+    cfg.epochs = 2;
+    cfg.batch_size = 128;
+    cfg.fanout = 5;
+    cfg.layer_samples = 192;
+    cfg.threads = threads;
+    results.push_back(LayerSamplingTrainer(ds, cfg).train());
+  }
+  FullBatchConfig cfg;
+  cfg.hidden_dim = 300;
+  cfg.epochs = 4;
+  cfg.threads = threads;
+  results.push_back(FullBatchTrainer(ds, cfg).train());
+  return results;
+}
+
+TEST(Baselines, IdenticalAcrossThreadCounts) {
+  // A weak feature signal keeps val F1 below 1, so it discriminates.
+  const data::Dataset ds = easy_dataset(21, 0.25);
+  const std::vector<gcn::TrainResult> serial = train_baselines(ds, 1);
+  const std::vector<gcn::TrainResult> parallel = train_baselines(ds, 4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t m = 0; m < serial.size(); ++m) {
+    const gcn::TrainResult& a = serial[m];
+    const gcn::TrainResult& b = parallel[m];
+    ASSERT_EQ(a.history.size(), b.history.size()) << "method " << m;
+    for (std::size_t e = 0; e < a.history.size(); ++e) {
+      EXPECT_EQ(a.history[e].train_loss, b.history[e].train_loss)
+          << "method " << m << " epoch " << e;
+      EXPECT_EQ(a.history[e].val_f1, b.history[e].val_f1)
+          << "method " << m << " epoch " << e;
+    }
+    EXPECT_EQ(a.final_val_f1, b.final_val_f1) << "method " << m;
+    EXPECT_EQ(a.final_test_f1, b.final_test_f1) << "method " << m;
+    EXPECT_LT(a.final_val_f1, 1.0) << "method " << m;
+    // Every op of the step runs in a phase scope, inside the timed epoch.
+    for (const gcn::TrainResult* r : {&a, &b}) {
+      EXPECT_GT(r->featprop_seconds, 0.0) << "method " << m;
+      EXPECT_GT(r->weight_seconds, 0.0) << "method " << m;
+      EXPECT_GT(r->phases.op_seconds(obs::Op::kLoss), 0.0) << "method " << m;
+      EXPECT_GT(r->phases.op_seconds(obs::Op::kUpdate), 0.0) << "method " << m;
+      EXPECT_LE(r->phases.total_seconds(), r->train_seconds) << "method " << m;
+      EXPECT_GE(r->unattributed_seconds, 0.0) << "method " << m;
+    }
+  }
+}
+
 TEST(Baselines, RejectBadConfigs) {
   const data::Dataset ds = easy_dataset();
-  SageConfig sc;
+  LayerSamplingConfig sc;
   sc.fanout = 0;
-  EXPECT_THROW(GraphSageTrainer(ds, sc), std::invalid_argument);
-  FastGcnConfig fc;
+  EXPECT_THROW(LayerSamplingTrainer(ds, sc), std::invalid_argument);
+  LayerSamplingConfig fc;
+  fc.sampler = LayerSampler::kFastGcn;
   fc.layer_samples = 0;
-  EXPECT_THROW(FastGcnTrainer(ds, fc), std::invalid_argument);
+  EXPECT_THROW(LayerSamplingTrainer(ds, fc), std::invalid_argument);
 }
 
 }  // namespace

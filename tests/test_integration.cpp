@@ -9,7 +9,7 @@
 #include <limits>
 
 #include "baselines/fullbatch.hpp"
-#include "baselines/graphsage.hpp"
+#include "baselines/layer_sampling.hpp"
 #include "data/synthetic.hpp"
 #include "gcn/trainer.hpp"
 #include "graph/generators.hpp"
@@ -49,14 +49,14 @@ TEST(Integration, GraphSamplingMatchesLayerSamplingAccuracy) {
   gcn::Trainer ours(ds, ours_cfg);
   const double ours_f1 = ours.train().final_test_f1;
 
-  baselines::SageConfig sage_cfg;
+  baselines::LayerSamplingConfig sage_cfg;
   sage_cfg.hidden_dim = 24;
   sage_cfg.epochs = 4;
   sage_cfg.batch_size = 256;
   sage_cfg.fanout = 8;
   sage_cfg.seed = 1;
   sage_cfg.eval_every_epoch = false;
-  baselines::GraphSageTrainer sage(ds, sage_cfg);
+  baselines::LayerSamplingTrainer sage(ds, sage_cfg);
   const double sage_f1 = sage.train().final_test_f1;
 
   EXPECT_GT(ours_f1, 0.6);
@@ -69,7 +69,7 @@ TEST(Integration, NoNeighborExplosionInGraphSampling) {
   // GraphSAGE's input-layer support grows with L (Section III-B).
   const data::Dataset ds = benchmark_dataset();
 
-  baselines::SageConfig cfg;
+  baselines::LayerSamplingConfig cfg;
   cfg.fanout = 6;
   util::Xoshiro256 rng(2);
   std::vector<graph::Vid> batch;
@@ -78,12 +78,12 @@ TEST(Integration, NoNeighborExplosionInGraphSampling) {
   std::size_t support1 = 0, support3 = 0;
   {
     cfg.num_layers = 1;
-    baselines::GraphSageTrainer t(ds, cfg);
+    baselines::LayerSamplingTrainer t(ds, cfg);
     support1 = t.sample_batch(batch, rng).nodes[0].size();
   }
   {
     cfg.num_layers = 3;
-    baselines::GraphSageTrainer t(ds, cfg);
+    baselines::LayerSamplingTrainer t(ds, cfg);
     support3 = t.sample_batch(batch, rng).nodes[0].size();
   }
   EXPECT_GT(support3, 2 * support1);

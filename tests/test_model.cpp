@@ -320,29 +320,42 @@ TEST(Model, RestoreRejectsWrongSize) {
   EXPECT_THROW(m.restore_weights(wrong), std::invalid_argument);
 }
 
+// Every trainer's evaluation runs infer_logits, so it must equal the
+// model's eval-mode forward bit for bit, at any thread count.
+bool bit_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(Inference, MatchesModelForward) {
-  for (const int layers : {1, 2, 3}) {
-    GcnModel m(small_config(layers));
-    const CsrGraph g = gsgcn::testing::small_er(50, 200, 11);
-    util::Xoshiro256 rng(12);
-    const Matrix x = Matrix::gaussian(50, 6, 1.0f, rng);
-    const Matrix expect = m.forward(g, x, 1);
-    InferenceScratch scratch;
-    const Matrix& got = infer_logits(m, g, x, scratch, 1);
-    EXPECT_LT(Matrix::max_abs_diff(expect, got), 1e-5f) << layers << " layers";
+  for (const int threads : {1, 4}) {
+    for (const int layers : {1, 2, 3}) {
+      GcnModel m(small_config(layers));
+      const CsrGraph g = gsgcn::testing::small_er(50, 200, 11);
+      util::Xoshiro256 rng(12);
+      const Matrix x = Matrix::gaussian(50, 6, 1.0f, rng);
+      const Matrix expect = m.forward(g, x, threads);
+      InferenceScratch scratch;
+      const Matrix& got = infer_logits(m, g, x, scratch, threads);
+      EXPECT_TRUE(bit_equal(expect, got))
+          << layers << " layers, " << threads << " threads";
+    }
   }
 }
 
 TEST(Inference, ScratchReusableAcrossGraphs) {
-  GcnModel m(small_config());
-  InferenceScratch scratch;
-  util::Xoshiro256 rng(13);
-  for (const graph::Vid n : {30u, 60u, 45u}) {
-    const CsrGraph g = gsgcn::testing::small_er(n, n * 4, n);
-    const Matrix x = Matrix::gaussian(n, 6, 1.0f, rng);
-    const Matrix expect = m.forward(g, x, 1);
-    const Matrix& got = infer_logits(m, g, x, scratch, 1);
-    EXPECT_LT(Matrix::max_abs_diff(expect, got), 1e-5f);
+  for (const int threads : {1, 4}) {
+    GcnModel m(small_config());
+    InferenceScratch scratch;
+    util::Xoshiro256 rng(13);
+    for (const graph::Vid n : {30u, 60u, 45u}) {
+      const CsrGraph g = gsgcn::testing::small_er(n, n * 4, n);
+      const Matrix x = Matrix::gaussian(n, 6, 1.0f, rng);
+      const Matrix expect = m.forward(g, x, threads);
+      const Matrix& got = infer_logits(m, g, x, scratch, threads);
+      EXPECT_TRUE(bit_equal(expect, got)) << n << " vertices, " << threads
+                                          << " threads";
+    }
   }
 }
 
