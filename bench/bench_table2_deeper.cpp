@@ -29,7 +29,9 @@ bench::TimingStats ours_epoch_stats(const data::Dataset& ds, int layers,
   cfg.seed = util::global_seed();
   cfg.eval_every_epoch = false;
   gcn::Trainer t(ds, cfg);
-  return bench::timing_stats([&] { (void)t.train(); }, 2);
+  // An epoch of ours is short: 5 repetitions give a true median, which
+  // one slow run among two would not.
+  return bench::timing_stats([&] { (void)t.train(); }, 5);
 }
 
 /// Per-epoch timing of the layer-sampling baseline at (layers, threads).

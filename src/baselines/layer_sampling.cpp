@@ -33,7 +33,7 @@ const LayerSamplingConfig& checked(const LayerSamplingConfig& cfg) {
 /// The first `rows` rows of m: a layer's self input, by the prefix
 /// property of the batch's node lists.
 ConstMatrixView prefix_rows(const Matrix& m, std::size_t rows) {
-  return {m.data(), rows, m.cols(), m.cols()};
+  return ConstMatrixView::rows_slice(m, 0, rows);
 }
 
 /// One layer's source node list under construction: the destination
@@ -169,21 +169,23 @@ float LayerSamplingTrainer::train_step(const LayerBatch& batch) {
   const auto head = static_cast<std::int64_t>(layers);
   gcn::GcnModel& model = setup_.model;
   auto& convs = model.layers();
+  // Every buffer below is a member shaped by ensure_shape: its storage
+  // outlives the step and grows only, and each op writes all it reads.
+  using gcn::ensure_shape;
 
   // ---- forward ----
-  // h[ℓ] is layer ℓ's input over nodes[ℓ]; h[ℓ+1] = σ(H_self ‖ H_neigh),
+  // h_[ℓ] is layer ℓ's input over nodes[ℓ]; h_[ℓ+1] = σ(H_self ‖ H_neigh),
   // written by the two GEMMs with the ReLU fused into their store.
-  std::vector<Matrix> h(layers + 1);
-  std::vector<Matrix> agg(layers);
+  h_.resize(layers + 1);
+  agg_.resize(layers);
   const std::size_t n_batch = batch.nodes.back().size();
   const std::size_t classes = setup_.train_labels.cols();
-  Matrix labels, logits, d_logits;
   {
     PhaseScope scope(Op::kGather);
-    h[0] = Matrix(batch.nodes[0].size(), setup_.train_features.cols());
-    tensor::gather_rows(setup_.train_features, batch.nodes[0], h[0], threads);
-    labels = Matrix(n_batch, classes);
-    tensor::gather_rows(setup_.train_labels, batch.nodes.back(), labels,
+    ensure_shape(h_[0], batch.nodes[0].size(), setup_.train_features.cols());
+    tensor::gather_rows(setup_.train_features, batch.nodes[0], h_[0], threads);
+    ensure_shape(labels_, n_batch, classes);
+    tensor::gather_rows(setup_.train_labels, batch.nodes.back(), labels_,
                         threads);
   }
   for (std::size_t l = 0; l < layers; ++l) {
@@ -193,50 +195,49 @@ float LayerSamplingTrainer::train_step(const LayerBatch& batch) {
     const std::size_t fo = conv.out_dim();
     {
       PhaseScope scope(Op::kSpmm, Dir::kForward, li);
-      agg[l] = Matrix(n_dst, conv.in_dim());
-      batch.blocks[l].forward(h[l], agg[l], threads);
+      ensure_shape(agg_[l], n_dst, conv.in_dim());
+      batch.blocks[l].forward(h_[l], agg_[l], threads);
     }
     PhaseScope scope(Op::kGemm, Dir::kForward, li);
-    h[l + 1] = Matrix(n_dst, 2 * fo);
-    tensor::gemm_nn(prefix_rows(h[l], n_dst), conv.w_self(),
-                    MatrixView::cols_slice(h[l + 1], 0, fo), 1.0f, 0.0f,
+    ensure_shape(h_[l + 1], n_dst, 2 * fo);
+    tensor::gemm_nn(prefix_rows(h_[l], n_dst), conv.w_self(),
+                    MatrixView::cols_slice(h_[l + 1], 0, fo), 1.0f, 0.0f,
                     threads, tensor::Epilogue::kRelu);
-    tensor::gemm_nn(agg[l], conv.w_neigh(),
-                    MatrixView::cols_slice(h[l + 1], fo, fo), 1.0f, 0.0f,
+    tensor::gemm_nn(agg_[l], conv.w_neigh(),
+                    MatrixView::cols_slice(h_[l + 1], fo, fo), 1.0f, 0.0f,
                     threads, tensor::Epilogue::kRelu);
   }
 
-  const Matrix& top = h[layers];
+  const Matrix& top = h_[layers];
   {
     PhaseScope scope(Op::kGemm, Dir::kForward, head);
-    logits = Matrix(n_batch, classes);
-    tensor::gemm_nn(top, model.w_cls(), logits, 1.0f, 0.0f, threads);
+    ensure_shape(logits_, n_batch, classes);
+    tensor::gemm_nn(top, model.w_cls(), logits_, 1.0f, 0.0f, threads);
   }
   {
     PhaseScope scope(Op::kElementwise, Dir::kForward, head);
-    tensor::add_bias_rows(logits,
+    tensor::add_bias_rows(logits_,
                           {model.bias_cls().data(), model.bias_cls().cols()},
                           threads);
   }
   const float loss = [&] {
     PhaseScope scope(Op::kLoss);
-    d_logits = Matrix(n_batch, classes);
-    return gcn::classification_loss(setup_.ds.mode, logits, labels, d_logits,
-                                    threads);
+    ensure_shape(d_logits_, n_batch, classes);
+    return gcn::classification_loss(setup_.ds.mode, logits_, labels_,
+                                    d_logits_, threads);
   }();
 
   // ---- backward ----
   {
     PhaseScope scope(Op::kElementwise, Dir::kBackward, head);
-    tensor::bias_grad(d_logits, {model.grad_bias_cls().data(),
-                                 model.grad_bias_cls().cols()});
+    tensor::bias_grad(d_logits_, {model.grad_bias_cls().data(),
+                                  model.grad_bias_cls().cols()});
   }
-  Matrix d_h;
   {
     PhaseScope scope(Op::kGemm, Dir::kBackward, head);
-    tensor::gemm_tn(top, d_logits, model.grad_w_cls(), 1.0f, 0.0f, threads);
-    d_h = Matrix(n_batch, top.cols());
-    tensor::gemm_nt(d_logits, model.w_cls(), d_h, 1.0f, 0.0f, threads);
+    tensor::gemm_tn(top, d_logits_, model.grad_w_cls(), 1.0f, 0.0f, threads);
+    ensure_shape(d_h_, n_batch, top.cols());
+    tensor::gemm_nt(d_logits_, model.w_cls(), d_h_, 1.0f, 0.0f, threads);
   }
 
   for (std::size_t l = layers; l-- > 0;) {
@@ -246,49 +247,46 @@ float LayerSamplingTrainer::train_step(const LayerBatch& batch) {
     const std::size_t fo = conv.out_dim();
     const std::size_t in = conv.in_dim();
 
-    // h[ℓ+1] is post-ReLU, which carries the pre-activation's mask
-    // (relu(x) > 0 ⇔ x > 0). d_pre's halves are read in place as views.
-    Matrix d_pre;
+    // h_[ℓ+1] is post-ReLU, which carries the pre-activation's mask
+    // (relu(x) > 0 ⇔ x > 0). d_pre_'s halves are read in place as views.
     {
       PhaseScope scope(Op::kElementwise, Dir::kBackward, li);
-      d_pre = Matrix(n_dst, 2 * fo);
-      tensor::relu_backward(h[l + 1], d_h, d_pre, threads);
+      ensure_shape(d_pre_, n_dst, 2 * fo);
+      tensor::relu_backward(h_[l + 1], d_h_, d_pre_, threads);
     }
-    const auto d_self = ConstMatrixView::cols_slice(d_pre, 0, fo);
-    const auto d_neigh = ConstMatrixView::cols_slice(d_pre, fo, fo);
-    Matrix d_agg, d_self_in;
+    const auto d_self = ConstMatrixView::cols_slice(d_pre_, 0, fo);
+    const auto d_neigh = ConstMatrixView::cols_slice(d_pre_, fo, fo);
     {
       PhaseScope scope(Op::kGemm, Dir::kBackward, li);
-      tensor::gemm_tn(prefix_rows(h[l], n_dst), d_self, conv.grad_w_self(),
+      tensor::gemm_tn(prefix_rows(h_[l], n_dst), d_self, conv.grad_w_self(),
                       1.0f, 0.0f, threads);
-      tensor::gemm_tn(agg[l], d_neigh, conv.grad_w_neigh(), 1.0f, 0.0f,
+      tensor::gemm_tn(agg_[l], d_neigh, conv.grad_w_neigh(), 1.0f, 0.0f,
                       threads);
       // The first layer's input is the feature matrix, whose gradient
       // nothing reads.
       if (l == 0) break;
-      d_agg = Matrix(n_dst, in);
-      d_self_in = Matrix(n_dst, in);
-      tensor::gemm_nt(d_neigh, conv.w_neigh(), d_agg, 1.0f, 0.0f, threads);
-      tensor::gemm_nt(d_self, conv.w_self(), d_self_in, 1.0f, 0.0f, threads);
+      ensure_shape(d_agg_, n_dst, in);
+      ensure_shape(d_self_in_, n_dst, in);
+      tensor::gemm_nt(d_neigh, conv.w_neigh(), d_agg_, 1.0f, 0.0f, threads);
+      tensor::gemm_nt(d_self, conv.w_self(), d_self_in_, 1.0f, 0.0f, threads);
     }
-    Matrix d_prev;
     {
       PhaseScope scope(Op::kSpmm, Dir::kBackward, li);
-      d_prev = Matrix(batch.nodes[l].size(), in);
-      batch.blocks[l].backward(d_agg, d_prev, threads);
+      ensure_shape(d_prev_, batch.nodes[l].size(), in);
+      batch.blocks[l].backward(d_agg_, d_prev_, threads);
     }
     {
       // The self path feeds the prefix rows. A separate add, not a
-      // beta = 1 GEMM into d_prev: that would round differently once K
+      // beta = 1 GEMM into d_prev_: that would round differently once K
       // spans more than one Kc block.
       PhaseScope scope(Op::kElementwise, Dir::kBackward, li);
       for (std::size_t i = 0; i < n_dst; ++i) {
-        float* dst = d_prev.row(i);
-        const float* src = d_self_in.row(i);
+        float* dst = d_prev_.row(i);
+        const float* src = d_self_in_.row(i);
         for (std::size_t j = 0; j < in; ++j) dst[j] += src[j];
       }
     }
-    d_h = std::move(d_prev);
+    std::swap(d_h_, d_prev_);
   }
 
   PhaseScope scope(Op::kUpdate, Dir::kBackward);

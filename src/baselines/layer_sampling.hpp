@@ -69,6 +69,14 @@ class LayerSamplingTrainer {
   std::vector<double> q_;         // FastGCN importance distribution
   std::vector<double> q_cumsum_;  // for O(log n) inverse-CDF draws
   util::Xoshiro256 rng_;
+
+  // train_step's buffers, reused across minibatches (grow-only, see
+  // gcn::ensure_shape).
+  std::vector<tensor::Matrix> h_;    // [ℓ]: layer ℓ's input over nodes[ℓ]
+  std::vector<tensor::Matrix> agg_;  // [ℓ]: its aggregation over nodes[ℓ+1]
+  tensor::Matrix labels_, logits_, d_logits_;
+  tensor::Matrix d_h_, d_prev_;  // gradient of a layer's output / input
+  tensor::Matrix d_pre_, d_agg_, d_self_in_;
 };
 
 }  // namespace gsgcn::baselines

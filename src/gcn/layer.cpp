@@ -8,9 +8,7 @@
 namespace gsgcn::gcn {
 
 void ensure_shape(tensor::Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) {
-    m = tensor::Matrix(rows, cols);
-  }
+  m.resize(rows, cols);
 }
 
 GraphConvLayer::GraphConvLayer(std::size_t in_dim, std::size_t out_dim,
@@ -85,7 +83,7 @@ const tensor::Matrix& GraphConvLayer::forward(const graph::CsrGraph& g,
   h_in_ = &h_in;
 
   // Feature aggregation — the paper's partitioned kernel (Section V-B).
-  // Each scope also (re)sizes the buffer its op writes.
+  // Each scope also (re)shapes the buffer its op writes.
   {
     PhaseScope scope(Op::kSpmm, Dir::kForward, index_,
                      spmm_layer_work(g, in_dim()));

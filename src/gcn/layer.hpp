@@ -90,11 +90,11 @@ class GraphConvLayer {
   tensor::Matrix d_w_self_;
   tensor::Matrix d_w_neigh_;
 
-  // Cached activations (batch-sized; resized on demand). The self/neigh
-  // GEMMs write straight into the two column halves of act_ (strided
-  // views), and the ReLU is fused into their store epilogue — so act_
-  // holds σ([H_self | H_neigh]) and IS the layer output; there is no
-  // separate concat buffer, post-activation copy, or per-branch scratch.
+  // Cached activations (batch-sized; grow-only, see ensure_shape). The
+  // self/neigh GEMMs write straight into the two column halves of act_
+  // (strided views), and the ReLU is fused into their store epilogue —
+  // so act_ holds σ([H_self | H_neigh]) and IS the layer output; there is
+  // no separate concat buffer, post-activation copy, or per-branch scratch.
   const tensor::Matrix* h_in_ = nullptr;
   tensor::Matrix h_agg_;  // A·H_in
   tensor::Matrix act_;    // σ([H_self | H_neigh]) — the layer output
@@ -107,8 +107,10 @@ class GraphConvLayer {
   tensor::Matrix d_in_;
 };
 
-/// Resize helper: (re)allocate only when the shape changes, so steady-state
-/// training does no allocation.
+/// Shape a batch buffer for the op about to write it: Matrix::resize, so
+/// storage is grow-only (reallocated only past its high-water capacity)
+/// and is not zero-filled. Every caller's op writes each element it later
+/// reads; after warm-up, steady-state training does no allocation.
 void ensure_shape(tensor::Matrix& m, std::size_t rows, std::size_t cols);
 
 }  // namespace gsgcn::gcn

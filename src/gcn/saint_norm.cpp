@@ -55,11 +55,18 @@ float SaintNormalizer::loss_weight(graph::Vid v) const {
   return weights_[v];
 }
 
+void SaintNormalizer::batch_weights(const std::vector<graph::Vid>& vertices,
+                                    std::vector<float>& out) const {
+  out.resize(vertices.size());
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    out[i] = loss_weight(vertices[i]);
+  }
+}
+
 std::vector<float> SaintNormalizer::batch_weights(
     const std::vector<graph::Vid>& vertices) const {
   std::vector<float> out;
-  out.reserve(vertices.size());
-  for (const graph::Vid v : vertices) out.push_back(loss_weight(v));
+  batch_weights(vertices, out);
   return out;
 }
 

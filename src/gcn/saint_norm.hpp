@@ -39,7 +39,10 @@ class SaintNormalizer {
   /// unnormalized loss). Requires estimate() first.
   float loss_weight(graph::Vid v) const;
 
-  /// Gather weights for a batch of (train-graph) vertex ids.
+  /// Gather weights for a batch of (train-graph) vertex ids, into `out`
+  /// (resized; a reused vector stops allocating) or a fresh vector.
+  void batch_weights(const std::vector<graph::Vid>& vertices,
+                     std::vector<float>& out) const;
   std::vector<float> batch_weights(const std::vector<graph::Vid>& vertices) const;
 
  private:

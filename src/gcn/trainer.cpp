@@ -362,13 +362,11 @@ TrainResult Trainer::train() {
           if (fstore.mmapped()) {
             // Out-of-core lookahead: hint the pages behind the subgraph
             // the pool will hand us next, so the page cache fills while
-            // this iteration computes.
-            const std::vector<graph::Vid> next = pool_->peek_next_orig_ids();
-            if (!next.empty()) {
-              prefetch_ids_.resize(next.size());
-              for (std::size_t i = 0; i < next.size(); ++i) {
-                prefetch_ids_[i] = train_orig_[next[i]];
-              }
+            // this iteration computes. The peeked train-graph ids are
+            // translated to dataset ids in place.
+            pool_->peek_next_orig_ids(prefetch_ids_);
+            if (!prefetch_ids_.empty()) {
+              for (std::uint32_t& id : prefetch_ids_) id = train_orig_[id];
               fstore.prefetch(prefetch_ids_);
             }
           }
@@ -386,9 +384,10 @@ TrainResult Trainer::train() {
                                    "training logits");
           ensure_shape(d_logits_, n_sub, ds_.num_classes());
           if (saint_ != nullptr) {
-            const std::vector<float> w = saint_->batch_weights(sub.orig_ids);
+            saint_->batch_weights(sub.orig_ids, loss_weights_);
             iter_loss = classification_loss_weighted(
-                ds_.mode, logits, batch_labels_, w, d_logits_, cfg_.threads);
+                ds_.mode, logits, batch_labels_, loss_weights_, d_logits_,
+                cfg_.threads);
           } else {
             iter_loss = classification_loss(ds_.mode, logits, batch_labels_,
                                             d_logits_, cfg_.threads);

@@ -230,13 +230,14 @@ class Trainer {
   std::size_t in_dim_ = 0;
   std::vector<std::uint32_t> batch_ids_;     // dataset ids of the batch
   std::vector<std::uint32_t> prefetch_ids_;  // mmap lookahead scratch
+  std::vector<float> loss_weights_;          // SAINT weights of the batch
 
   std::unique_ptr<GcnModel> model_;
   std::unique_ptr<Adam> opt_;
   std::unique_ptr<sampling::SubgraphPool> pool_;
   std::unique_ptr<SaintNormalizer> saint_;
 
-  // Batch scratch.
+  // Batch scratch (grow-only, see ensure_shape).
   tensor::Matrix batch_features_;
   tensor::Matrix batch_labels_;
   tensor::Matrix d_logits_;

@@ -69,10 +69,25 @@ void check(const graph::CsrGraph& g, const tensor::Matrix& a,
 int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   const tensor::Matrix& in, tensor::Matrix& out,
                                   const FeaturePartitionOptions& opts) {
-  check(g, in, out);
-  const int c = util::resolve_threads(opts.threads);
+  return propagate_feature_partitioned(g, in, out, 0, g.num_vertices(), opts);
+}
+
+int propagate_feature_partitioned(const graph::CsrGraph& g,
+                                  const tensor::Matrix& in,
+                                  tensor::MatrixView out, graph::Vid row_begin,
+                                  graph::Vid row_end,
+                                  const FeaturePartitionOptions& opts) {
   const std::size_t f = in.cols();
-  const graph::Vid n = g.num_vertices();
+  if (in.rows() != g.num_vertices() || row_begin > row_end ||
+      row_end > g.num_vertices() || out.rows() != row_end - row_begin ||
+      out.cols() != f) {
+    throw std::invalid_argument("feature_partitioned: bad shapes");
+  }
+  // The output rows must not overlap the input's storage.
+  if (out.data() >= in.data() && out.data() < in.data() + in.size()) {
+    throw std::invalid_argument("feature_partitioned: in/out must not alias");
+  }
+  const int c = util::resolve_threads(opts.threads);
   const std::vector<float> w =
       tiled::source_weights(g, opts.aggregator, /*backward=*/false, c);
   const float* wp = w.empty() ? nullptr : w.data();
@@ -85,8 +100,8 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
   GSGCN_TRACE_SPAN_ID("featprop/forward", q);
   util::parallel_for(q, c, [&](std::int64_t i) {
     const Slice s = feature_slice(f, q, static_cast<int>(i));
-    tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out, 0,
-                          n, s.begin, s.end, wp);
+    tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out,
+                          row_begin, row_end, s.begin, s.end, wp);
   });
   return q;
 }

@@ -40,6 +40,17 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   tensor::Matrix& out,
                                   const FeaturePartitionOptions& opts = {});
 
+/// The same aggregation restricted to destination rows [row_begin,
+/// row_end): out is (row_end - row_begin) x f and its row i receives
+/// vertex row_begin + i; `in` stays the whole |V| x f operand. Same Q
+/// slices as the whole-graph form, and each row's values are bit-equal
+/// to its row there — chunked full-graph inference runs on this.
+int propagate_feature_partitioned(const graph::CsrGraph& g,
+                                  const tensor::Matrix& in,
+                                  tensor::MatrixView out, graph::Vid row_begin,
+                                  graph::Vid row_end,
+                                  const FeaturePartitionOptions& opts = {});
+
 /// Backward (gradient) pass under the same partitioning.
 int propagate_feature_partitioned_backward(
     const graph::CsrGraph& g, const tensor::Matrix& d_out,

@@ -59,7 +59,7 @@ bool needs_weights(AggregatorKind kind, bool backward) {
          (kind == AggregatorKind::kMean && backward);
 }
 
-/// One destination row over columns [c0, c1):
+/// One destination row over columns [c0, c1), stored to out_row[c0, c1):
 ///   dst[j] = s_v · Σ_{u ∈ N(v)} w[u] · in[u][j]
 /// Column chunks accumulate in registers across the whole neighbor list
 /// and store once — no memset pass, no read-modify-write per neighbor, no
@@ -68,9 +68,9 @@ bool needs_weights(AggregatorKind kind, bool backward) {
 /// neighbor when weighted, plain add when not, one multiply at the end —
 /// so slice boundaries cannot change any element's value.
 void tiled_row(const graph::CsrGraph& g, graph::Vid v,
-               const tensor::Matrix& in, tensor::Matrix& out, std::size_t c0,
+               const tensor::Matrix& in, float* out_row, std::size_t c0,
                std::size_t c1, const float* w, RowScale scale) {
-  float* dst = out.row(v) + c0;
+  float* dst = out_row + c0;
   const std::size_t len = c1 - c0;
   const auto nbrs = g.neighbors(v);
   if (nbrs.empty()) {
@@ -176,7 +176,9 @@ void aggregate_tiled(const graph::CsrGraph& g, AggregatorKind kind,
     const auto r0 = static_cast<graph::Vid>(b * tiled::kRowBlock);
     const auto r1 = static_cast<graph::Vid>(
         std::min<std::int64_t>(n, (b + 1) * tiled::kRowBlock));
-    tiled::aggregate_rows(g, kind, backward, in, out, r0, r1, 0, f, wp);
+    tiled::aggregate_rows(g, kind, backward, in,
+                          tensor::MatrixView::rows_slice(out, r0, r1 - r0),
+                          r0, r1, 0, f, wp);
   });
 }
 
@@ -208,14 +210,17 @@ std::vector<float> source_weights(const graph::CsrGraph& g,
 
 void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                     bool backward, const tensor::Matrix& in,
-                    tensor::Matrix& out, graph::Vid row_begin,
+                    tensor::MatrixView out, graph::Vid row_begin,
                     graph::Vid row_end, std::size_t col_begin,
                     std::size_t col_end, const float* src_weights) {
   GSGCN_ASSERT((src_weights != nullptr) == needs_weights(kind, backward),
                "tiled::aggregate_rows: weight table does not match path");
+  GSGCN_ASSERT(out.rows() == row_end - row_begin && col_end <= out.cols(),
+               "tiled::aggregate_rows: output view does not cover the range");
   const RowScale scale = row_scale(kind, backward);
   for (graph::Vid v = row_begin; v < row_end; ++v) {
-    tiled_row(g, v, in, out, col_begin, col_end, src_weights, scale);
+    tiled_row(g, v, in, out.row(v - row_begin), col_begin, col_end,
+              src_weights, scale);
   }
 }
 
@@ -228,7 +233,7 @@ void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                "tiled::aggregate_rows: weight table does not match path");
   const RowScale scale = row_scale(kind, backward);
   for (const graph::Vid v : rows) {
-    tiled_row(g, v, in, out, col_begin, col_end, src_weights, scale);
+    tiled_row(g, v, in, out.row(v), col_begin, col_end, src_weights, scale);
   }
 }
 

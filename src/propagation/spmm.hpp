@@ -98,16 +98,20 @@ std::vector<float> source_weights(const graph::CsrGraph& g,
                                   AggregatorKind kind, bool backward,
                                   int threads = 0);
 
-/// Aggregate rows [row_begin, row_end) × columns [col_begin, col_end).
-/// src_weights must be source_weights(g, kind, backward).data() when that
-/// table is non-empty and nullptr otherwise.
+/// Aggregate rows [row_begin, row_end) × columns [col_begin, col_end)
+/// into `out`, whose row i receives vertex row_begin + i: a whole |V|-row
+/// output at row_begin = 0, or a buffer sized to the row range (chunked
+/// full-graph inference). src_weights must be
+/// source_weights(g, kind, backward).data() when that table is non-empty
+/// and nullptr otherwise.
 void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                     bool backward, const tensor::Matrix& in,
-                    tensor::Matrix& out, graph::Vid row_begin,
+                    tensor::MatrixView out, graph::Vid row_begin,
                     graph::Vid row_end, std::size_t col_begin,
                     std::size_t col_end, const float* src_weights);
 
-/// Same kernel over an explicit vertex list (propagate_2d's tiles).
+/// Same kernel over an explicit vertex list (propagate_2d's tiles); out
+/// is indexed by vertex id.
 void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                     bool backward, const tensor::Matrix& in,
                     tensor::Matrix& out, std::span<const graph::Vid> rows,

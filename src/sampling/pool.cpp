@@ -270,10 +270,19 @@ std::size_t SubgraphPool::available() const {
   return queue_.size();
 }
 
-std::vector<graph::Vid> SubgraphPool::peek_next_orig_ids() const {
+void SubgraphPool::peek_next_orig_ids(std::vector<graph::Vid>& out) const {
   util::MutexLock lock(mu_);
-  if (queue_.empty()) return {};
-  return queue_.front().orig_ids;
+  if (queue_.empty()) {
+    out.clear();
+  } else {
+    out.assign(queue_.front().orig_ids.begin(), queue_.front().orig_ids.end());
+  }
+}
+
+std::vector<graph::Vid> SubgraphPool::peek_next_orig_ids() const {
+  std::vector<graph::Vid> out;
+  peek_next_orig_ids(out);
+  return out;
 }
 
 std::uint64_t SubgraphPool::consumed() const {

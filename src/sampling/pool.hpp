@@ -115,6 +115,9 @@ class SubgraphPool {
   /// lookahead hook for the feature store's mmap prefetch: the trainer
   /// peeks the upcoming gather set and issues madvise hints while the
   /// current subgraph trains. Purely advisory — peeking never consumes.
+  /// The out-parameter form copies into the caller's vector, so a reused
+  /// one stops allocating once it has held the largest subgraph.
+  void peek_next_orig_ids(std::vector<graph::Vid>& out) const EXCLUDES(mu_);
   std::vector<graph::Vid> peek_next_orig_ids() const EXCLUDES(mu_);
 
   std::size_t available() const EXCLUDES(mu_);

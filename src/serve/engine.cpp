@@ -100,10 +100,7 @@ void InferenceEngine::run_batch(const ModelSnapshot& snap,
 
   // Pass 3: induce + gather + infer on the closure only.
   graph::Subgraph sub = inducer_.induce(closure_, threads <= 0 ? 1 : threads);
-  if (batch_x_.rows() != closure_.size() ||
-      batch_x_.cols() != features_.cols()) {
-    batch_x_ = tensor::Matrix(closure_.size(), features_.cols());
-  }
+  gcn::ensure_shape(batch_x_, closure_.size(), features_.cols());
   features_.gather(std::span<const std::uint32_t>(closure_), batch_x_,
                    threads);
   const tensor::Matrix& logits =

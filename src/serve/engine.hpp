@@ -19,6 +19,8 @@
 //
 // One engine per worker thread: the Inducer and scratch matrices are
 // stateful and not thread-safe (by design — no locks on the hot path).
+// The scratch is grow-only, so a worker keeps the buffers of the largest
+// closure it has served and stops allocating once it has seen it.
 
 #include <cstdint>
 #include <vector>

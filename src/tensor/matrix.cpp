@@ -22,12 +22,17 @@ Matrix::Matrix(const Matrix& other)
 
 Matrix& Matrix::operator=(const Matrix& other) {
   if (this != &other) {
-    rows_ = other.rows_;
-    cols_ = other.cols_;
-    data_.reset(other.size());
+    resize(other.rows_, other.cols_);
     std::memcpy(data_.data(), other.data_.data(), size() * sizeof(float));
   }
   return *this;
+}
+
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  if (size() > data_.size()) data_.reset(size());
+  data_.poison_tail(size());
 }
 
 Matrix Matrix::glorot(std::size_t rows, std::size_t cols,
@@ -50,7 +55,7 @@ Matrix Matrix::gaussian(std::size_t rows, std::size_t cols, float stddev,
 }
 
 void Matrix::fill(float v) {
-  std::fill(data_.begin(), data_.end(), v);
+  std::fill(data_.data(), data_.data() + size(), v);
 }
 
 float Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {

@@ -24,7 +24,9 @@ class Matrix {
   /// rows x cols, zero-initialized.
   Matrix(std::size_t rows, std::size_t cols);
 
-  /// Deep copy (weights are checkpointed in tests and the trainer).
+  /// Deep copy (weights are checkpointed in tests and the trainer). A
+  /// copy owns exactly its rows·cols, whatever the source's capacity;
+  /// copy-assignment reuses the target's storage when it fits.
   Matrix(const Matrix&);
   Matrix& operator=(const Matrix&);
   Matrix(Matrix&& other) noexcept
@@ -49,9 +51,20 @@ class Matrix {
   static Matrix gaussian(std::size_t rows, std::size_t cols, float stddev,
                          util::Xoshiro256& rng);
 
+  /// Reshape to rows x cols on grow-only storage: the allocation is kept
+  /// whenever rows·cols fits capacity() (its high-water mark) and
+  /// replaced by a larger one otherwise. Contents are unspecified
+  /// afterwards — nothing is zero-filled — so the caller must write every
+  /// element it reads. Batch buffers whose shape follows the sampled
+  /// subgraph therefore stop allocating once they have seen their largest
+  /// shape. Under ASan the unused tail [rows·cols, capacity) is poisoned.
+  void resize(std::size_t rows, std::size_t cols);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t size() const { return rows_ * cols_; }
+  /// Elements the storage holds; size() <= capacity().
+  std::size_t capacity() const { return data_.size(); }
   bool empty() const { return size() == 0; }
 
   float* data() { return data_.data(); }
@@ -75,6 +88,7 @@ class Matrix {
     return row(i)[j];
   }
 
+  /// Set the rows·cols logical elements (not the spare capacity).
   void fill(float v);
   void set_zero() { fill(0.0f); }
 
@@ -112,6 +126,18 @@ class MatrixView {
                                std::size_t ncols) {
     GSGCN_ASSERT(col0 + ncols <= m.cols(), "cols_slice out of range");
     return {m.data() + col0, m.rows(), ncols, m.cols()};
+  }
+  /// Columns [col0, col0 + ncols) of view v, all its rows, stride v.ld().
+  static MatrixView cols_slice(MatrixView v, std::size_t col0,
+                               std::size_t ncols) {
+    GSGCN_ASSERT(col0 + ncols <= v.cols(), "cols_slice out of range");
+    return {v.data() + col0, v.rows(), ncols, v.ld()};
+  }
+  /// Rows [row0, row0 + nrows) of m, all columns.
+  static MatrixView rows_slice(Matrix& m, std::size_t row0,
+                               std::size_t nrows) {
+    GSGCN_ASSERT(row0 + nrows <= m.rows(), "rows_slice out of range");
+    return {m.data() + row0 * m.cols(), nrows, m.cols(), m.cols()};
   }
 
   std::size_t rows() const { return rows_; }
@@ -153,6 +179,11 @@ class ConstMatrixView {
                                     std::size_t ncols) {
     GSGCN_ASSERT(col0 + ncols <= m.cols(), "cols_slice out of range");
     return {m.data() + col0, m.rows(), ncols, m.cols()};
+  }
+  static ConstMatrixView rows_slice(const Matrix& m, std::size_t row0,
+                                    std::size_t nrows) {
+    GSGCN_ASSERT(row0 + nrows <= m.rows(), "rows_slice out of range");
+    return {m.data() + row0 * m.cols(), nrows, m.cols(), m.cols()};
   }
 
   std::size_t rows() const { return rows_; }

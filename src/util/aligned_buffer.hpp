@@ -10,6 +10,17 @@
 #include <new>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define GSGCN_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GSGCN_ASAN 1
+#endif
+#endif
+#ifdef GSGCN_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace gsgcn::util {
 
 inline constexpr std::size_t kCacheLine = 64;
@@ -59,6 +70,18 @@ class AlignedBuffer {
   T& operator[](std::size_t i) noexcept { return data_[i]; }
   const T& operator[](std::size_t i) const noexcept { return data_[i]; }
 
+  /// Mark elements [used, size()) unaddressable under ASan and [0, used)
+  /// addressable again, so an owner that keeps a larger allocation than
+  /// it currently uses (tensor::Matrix's grow-only storage) still faults
+  /// on a read past its logical end. A no-op in other builds.
+  void poison_tail([[maybe_unused]] std::size_t used) noexcept {
+#ifdef GSGCN_ASAN
+    if (data_ == nullptr) return;
+    ASAN_UNPOISON_MEMORY_REGION(data_, used * sizeof(T));
+    ASAN_POISON_MEMORY_REGION(data_ + used, (size_ - used) * sizeof(T));
+#endif
+  }
+
   T* begin() noexcept { return data_; }
   T* end() noexcept { return data_ + size_; }
   const T* begin() const noexcept { return data_; }
@@ -67,6 +90,9 @@ class AlignedBuffer {
  private:
   void destroy() noexcept {
     if (data_ != nullptr) {
+#ifdef GSGCN_ASAN
+      ASAN_UNPOISON_MEMORY_REGION(data_, size_ * sizeof(T));
+#endif
       ::operator delete(data_, std::align_val_t{kCacheLine});
       data_ = nullptr;
     }

@@ -359,6 +359,33 @@ TEST(Inference, ScratchReusableAcrossGraphs) {
   }
 }
 
+// Graphs above kInferenceChunkRows run in several chunks, the last one
+// partial. K = 300 spans two GEMM K-blocks and the hidden widths give
+// more than one feature slice at 4 threads.
+TEST(Inference, ChunkedMatchesModelForward) {
+  const auto n = static_cast<graph::Vid>(2 * kInferenceChunkRows + 37);
+  const CsrGraph g = gsgcn::testing::small_er(n, 4 * n, 16);
+  util::Xoshiro256 rng(17);
+  const Matrix x = Matrix::gaussian(n, 300, 1.0f, rng);
+  for (const int threads : {1, 4}) {
+    for (const int layers : {1, 2, 3}) {
+      ModelConfig mc = small_config(layers);
+      mc.in_dim = 300;
+      mc.hidden_dim = 40;
+      GcnModel m(mc);
+      const Matrix expect = m.forward(g, x, threads);
+      InferenceScratch scratch;
+      const Matrix& got = infer_logits(m, g, x, scratch, threads);
+      EXPECT_TRUE(bit_equal(expect, got))
+          << layers << " layers, " << threads << " threads";
+      // Only the non-last layers' outputs keep |V| rows.
+      EXPECT_EQ(scratch.agg.rows(), kInferenceChunkRows);
+      EXPECT_EQ(scratch.head.rows(), kInferenceChunkRows);
+      EXPECT_EQ(scratch.h_a.rows(), layers > 1 ? n : 0u);
+    }
+  }
+}
+
 TEST(Inference, IgnoresDropout) {
   ModelConfig mc = small_config();
   mc.dropout = 0.5f;
@@ -378,6 +405,38 @@ TEST(Inference, RejectsBadInput) {
   InferenceScratch scratch;
   const Matrix x(5, 7);  // wrong width
   EXPECT_THROW(infer_logits(m, g, x, scratch, 1), std::invalid_argument);
+}
+
+// The model's batch buffers are grow-only: after the largest graph, the
+// logits stay in the same storage, and a model that has run other shapes
+// computes exactly what a fresh one does — nothing reads a stale value.
+TEST(Model, BuffersReusedAcrossGraphSizes) {
+  GcnModel m(small_config(3));
+  util::Xoshiro256 rng(18);
+  const float* storage = nullptr;
+  for (const graph::Vid n : {60u, 30u, 45u}) {
+    const CsrGraph g = gsgcn::testing::small_er(n, n * 4, n);
+    const Matrix x = Matrix::gaussian(n, 6, 1.0f, rng);
+    Matrix d(n, 3);
+    d.fill(0.1f);
+    const Matrix& logits = m.forward(g, x, 1);
+    if (storage == nullptr) storage = logits.data();
+    EXPECT_EQ(logits.data(), storage) << n << " vertices";
+    m.backward(g, d, 1);
+
+    GcnModel fresh(small_config(3));
+    EXPECT_TRUE(bit_equal(fresh.forward(g, x, 1), logits)) << n;
+    fresh.backward(g, d, 1);
+    EXPECT_TRUE(bit_equal(fresh.grad_w_cls(), m.grad_w_cls())) << n;
+    for (std::size_t l = 0; l < m.layers().size(); ++l) {
+      EXPECT_TRUE(bit_equal(fresh.layers()[l].grad_w_self(),
+                            m.layers()[l].grad_w_self()))
+          << n << " vertices, layer " << l;
+      EXPECT_TRUE(bit_equal(fresh.layers()[l].grad_w_neigh(),
+                            m.layers()[l].grad_w_neigh()))
+          << n << " vertices, layer " << l;
+    }
+  }
 }
 
 TEST(Model, WorksAcrossDifferentGraphSizes) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/partition.hpp"
@@ -137,6 +138,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{1, 0}, std::tuple{7, 0}, std::tuple{7, 3},
                       std::tuple{32, 0}, std::tuple{32, 32},
                       std::tuple{33, 5}, std::tuple{64, 16}));
+
+TEST(FeaturePartitioned, RowRangeRejectsBadShapes) {
+  const CsrGraph g = gsgcn::testing::small_er(40, 120, 9);
+  Matrix in = random_features(40, 8, 10);
+  Matrix out(10, 8);
+  EXPECT_THROW(propagate_feature_partitioned(g, in, out, 5, 20),
+               std::invalid_argument);  // 15 rows into a 10-row view
+  EXPECT_THROW(propagate_feature_partitioned(g, in, out, 35, 45),
+               std::invalid_argument);  // past |V|
+  EXPECT_THROW(propagate_feature_partitioned(
+                   g, in, tensor::MatrixView::rows_slice(in, 20, 10), 0, 10),
+               std::invalid_argument);  // writes into its own input
+  EXPECT_NO_THROW(propagate_feature_partitioned(g, in, out, 30, 40));
+}
 
 TEST(FeaturePartitioned, QNeverExceedsFeatureCount) {
   const CsrGraph g = gsgcn::testing::small_er(100, 500, 13);
@@ -439,6 +454,15 @@ TEST_P(AggregatorSweep, BitIdenticalAcrossThreadsAndQ) {
       propagate_feature_partitioned(g, in, out, opts);
       ASSERT_EQ(0, std::memcmp(out.data(), base.data(), bytes))
           << "threads=" << threads << " q=" << q;
+      // The row-range form fills a chunk-sized buffer with the same rows.
+      for (const auto& [r0, r1] : {std::pair<Vid, Vid>{0, 64}, {64, 127},
+                                   {127, 150}}) {
+        Matrix chunk(r1 - r0, 37);
+        propagate_feature_partitioned(g, in, chunk, r0, r1, opts);
+        ASSERT_EQ(0, std::memcmp(chunk.data(), base.row(r0),
+                                 chunk.size() * sizeof(float)))
+            << "threads=" << threads << " q=" << q << " rows " << r0;
+      }
     }
   }
   // The plain entry point and the default-options path land on the same

@@ -45,6 +45,58 @@ TEST(Matrix, MoveLeavesSourceEmpty) {
   EXPECT_EQ(a.size(), 0u);
 }
 
+// Batch buffers follow the sampled subgraph's size: resize keeps the
+// high-water allocation, so a shrink and a regrow within it reallocate
+// nothing, while the logical shape (and everything sized by it) follows.
+TEST(Matrix, ResizeKeepsStorageWithinCapacity) {
+  Matrix m;
+  m.resize(8, 5);
+  EXPECT_EQ(m.rows(), 8u);
+  EXPECT_EQ(m.cols(), 5u);
+  EXPECT_EQ(m.capacity(), 40u);
+  const float* storage = m.data();
+  m.resize(3, 7);  // shrink
+  EXPECT_EQ(m.size(), 21u);
+  EXPECT_EQ(m.capacity(), 40u);
+  EXPECT_EQ(m.data(), storage);
+  m.resize(5, 8);  // regrow to exactly the capacity
+  EXPECT_EQ(m.size(), 40u);
+  EXPECT_EQ(m.data(), storage);
+  m.resize(6, 8);  // past the high-water mark: one larger allocation
+  EXPECT_EQ(m.capacity(), 48u);
+  m.resize(0, 8);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), 48u);
+}
+
+TEST(Matrix, FillAndCopyCoverLogicalShapeOnly) {
+  Matrix m(6, 6);
+  m.fill(7.0f);
+  m.resize(2, 3);
+  m.fill(1.0f);
+  // The spare capacity keeps its old value: fill wrote rows·cols only,
+  // and resize makes no pass over the storage (no zero-fill).
+  m.resize(6, 6);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(m.data()[i], 1.0f);
+  for (std::size_t i = 6; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 7.0f);
+
+  m.resize(2, 3);
+  const Matrix copy = m;  // a copy owns only its own size
+  EXPECT_EQ(copy.rows(), 2u);
+  EXPECT_EQ(copy.cols(), 3u);
+  EXPECT_EQ(copy.capacity(), 6u);
+  for (std::size_t i = 0; i < copy.size(); ++i) EXPECT_EQ(copy.data()[i], 1.0f);
+
+  // Copy-assignment reuses a target large enough for the source.
+  Matrix big(10, 10);
+  const float* storage = big.data();
+  big = copy;
+  EXPECT_EQ(big.data(), storage);
+  EXPECT_EQ(big.size(), 6u);
+  EXPECT_EQ(big.capacity(), 100u);
+  EXPECT_EQ(Matrix::max_abs_diff(big, copy), 0.0f);
+}
+
 TEST(Matrix, MaxAbsDiffShapeMismatchIsInf) {
   EXPECT_TRUE(std::isinf(Matrix::max_abs_diff(Matrix(2, 2), Matrix(2, 3))));
 }
